@@ -16,9 +16,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .tabular import DataMatrix, MissMask
+
+# scipy.stats is imported inside the functions that use it: the import takes
+# about a second, which every command-line verb would otherwise pay.
 
 ALPHA_DEFAULT = 0.01
 
@@ -97,6 +99,8 @@ def pairwise_dependence(m: MissMask, alpha: float = ALPHA_DEFAULT) -> Dependence
     corrected (+0.5 everywhere) table. The sign is the direction of the
     odds ratio when the pair is significant at ``alpha``.
     """
+    from scipy import stats
+
     bits = m.bits
     n, p = bits.shape
     if n < 2:
@@ -151,6 +155,8 @@ def _single_column_conditioning(bits: np.ndarray, report: DependenceReport):
     column; a non-significant stratified test suggests the marginal
     dependence is induced rather than direct.
     """
+    from scipy import stats
+
     p = bits.shape[1]
     rates = bits.mean(axis=0)
     out: list[tuple[int, int, str, str]] = []
@@ -245,6 +251,8 @@ def mcar_structure_audit(x: DataMatrix, alpha: float = ALPHA_DEFAULT) -> AuditRe
     ``data-dependent`` dominates ``structured-indicators`` dominates
     ``consistent-with-unstructured``.
     """
+    from scipy import stats
+
     bits = x.missing.bits
     n, p = bits.shape
     report = pairwise_dependence(x.missing, alpha)

@@ -87,6 +87,13 @@ class ExperimentConfig:
             raise ValueError("seed must be a non-negative integer")
         if self.threads < 1:
             raise ValueError("threads must be positive")
+        if self.m < 1:
+            raise ValueError("m must be a positive integer")
+        if self.experiment in ("sim2", "sim3") and self.m < 2:
+            raise ValueError(
+                f"m must be >= 2 for {self.experiment}: pooling needs at least "
+                "two imputations"
+            )
         for rho in self.rho_list:
             if not (-1.0 / (self.p - 1) < rho < 1.0):
                 raise ValueError(

@@ -154,6 +154,98 @@ def fit_norm_draw(
     return RegressionDraw(values, beta_hat, beta_star, sigma)
 
 
+def _first_true(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per-row bisection: the first index in ``[lo, hi)`` where the monotone
+    (false, then true) predicate ``pred(rows, idx)`` holds, else ``hi``."""
+    lo, hi = lo.copy(), hi.copy()
+    rows = np.flatnonzero(lo < hi)
+    while rows.size:
+        mid = (lo[rows] + hi[rows]) // 2
+        ok = pred(rows, mid)
+        hi[rows] = np.where(ok, mid, hi[rows])
+        lo[rows] = np.where(ok, lo[rows], mid + 1)
+        rows = rows[lo[rows] < hi[rows]]
+    return lo
+
+
+def pmm_donors(
+    eta_obs, eta_mis, donors: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Index into ``eta_obs`` of one donor per entry of ``eta_mis``.
+
+    The donor is uniform over a donor set of ``donors`` observed rows: every
+    row strictly closer than the ``donors``-th smallest distance ``d_k``,
+    plus a uniform subset of the rows tied at exactly ``d_k``. The set is
+    never built. With ``c`` strictly closer rows and ``t`` tied ones, a draw
+    ``u`` uniform on ``0..donors-1`` takes the ``u``-th closer row when
+    ``u < c`` and otherwise a uniform member of the tie, which gives each
+    closer row probability ``1/donors`` and each tied row
+    ``(donors - c) / (donors * t)``, as the set would.
+
+    Distances ``|eta_obs - eta_mis|`` fall and then rise along the sorted
+    observed predictions, so the rows within ``d_k`` form one index range
+    around each recipient's insertion point, the closer rows a range inside
+    it, and the ``donors`` nearest lie among the ``2 * donors`` sorted
+    neighbours of that point. Only a tie that runs past those neighbours
+    (duplicate predictions) is followed further, by bisection.
+    Memory is O(n_mis * donors + n_obs); time is
+    O((n_obs + n_mis) log n_obs).
+    """
+    eta_obs = np.asarray(eta_obs, float)
+    eta_mis = np.asarray(eta_mis, float)
+    n_obs, n_mis, k = len(eta_obs), len(eta_mis), donors
+    if not 1 <= k <= n_obs:
+        raise ValueError(f"donors={k} must lie in 1..{n_obs}")
+    if n_mis == 0:
+        return np.empty(0, dtype=np.intp)
+    if not (np.isfinite(eta_obs).all() and np.isfinite(eta_mis).all()):
+        raise FloatingPointError("non-finite predictions to match on")
+    order = np.argsort(eta_obs, kind="stable")
+    srt = eta_obs[order]
+    pos = np.searchsorted(srt, eta_mis)
+    width = min(2 * k, n_obs)
+    start = np.clip(pos - k, 0, n_obs - width)
+    idx = start[:, None] + np.arange(width)
+    dist = np.abs(srt[idx] - eta_mis[:, None])
+    d_k = np.partition(dist, k - 1, axis=1)[:, k - 1]
+    within = dist <= d_k[:, None]
+    closer = dist < d_k[:, None]
+    # Distances fall, then rise along the window, so the rows within d_k are
+    # the range [lo, hi) and the n_close rows closer than d_k are the range
+    # starting at lo_close inside it (lo_close is unused when n_close = 0).
+    lo = start + within.argmax(axis=1)
+    hi = lo + within.sum(axis=1)
+    lo_close = start + closer.argmax(axis=1)
+    n_close = closer.sum(axis=1)
+
+    # A tie that reaches the window edge may run on past it.
+    stop = start + width
+    wide = np.flatnonzero((lo == start) & (start > 0))
+    wide = wide[np.abs(srt[start[wide] - 1] - eta_mis[wide]) <= d_k[wide]]
+    if wide.size:
+        e, d = eta_mis[wide], d_k[wide]
+        lo[wide] = _first_true(
+            lambda r, j: np.abs(srt[j] - e[r]) <= d[r],
+            np.zeros(wide.size, dtype=lo.dtype), start[wide],
+        )
+    wide = np.flatnonzero((hi == stop) & (stop < n_obs))
+    wide = wide[np.abs(srt[stop[wide]] - eta_mis[wide]) <= d_k[wide]]
+    if wide.size:
+        e, d = eta_mis[wide], d_k[wide]
+        hi[wide] = _first_true(
+            lambda r, j: np.abs(srt[j] - e[r]) > d[r],
+            stop[wide], np.full(wide.size, n_obs, dtype=hi.dtype),
+        )
+
+    u = rng.integers(0, k, size=n_mis)
+    pick = lo_close + u
+    tied = np.flatnonzero(u >= n_close)
+    c = n_close[tied]
+    v = lo[tied] + rng.integers(0, hi[tied] - lo[tied] - c)
+    pick[tied] = np.where(v < lo_close[tied], v, v + c)
+    return order[pick]
+
+
 def fit_pmm_draw(
     y_obs, x_obs, x_mis, donors: int = 5, ridge: float = DEFAULT_RIDGE,
     rng: np.random.Generator | None = None,
@@ -162,8 +254,12 @@ def fit_pmm_draw(
 
     Matches on predictions: observed rows score with the point estimate,
     missing rows with the posterior draw. Each missing cell copies the
-    observed value of one donor drawn uniformly from the ``donors`` closest
-    matches; distance ties are broken uniformly at random.
+    observed value of one donor drawn uniformly from a set of ``donors``
+    matches: every observed row strictly closer than the ``donors``-th
+    smallest distance, plus a uniform subset of the rows tied at that
+    distance (:func:`pmm_donors`). The search sorts the observed
+    predictions once and bisects into them, so memory stays linear in the
+    row counts.
     """
     rng = np.random.default_rng() if rng is None else rng
     y_obs = np.asarray(y_obs, float)
@@ -176,18 +272,7 @@ def fit_pmm_draw(
     beta_hat, beta_star, sigma = _bayes_regression(y_obs, x_obs, ridge, rng)
     eta_obs = np.asarray(x_obs, float) @ beta_hat
     eta_mis = x_mis @ beta_star
-    n_mis = len(eta_mis)
-    if n_mis == 0:
-        return RegressionDraw(np.empty(0), beta_hat, beta_star, sigma)
-    dist = np.abs(eta_obs[None, :] - eta_mis[:, None])
-    # Random per-row permutation before a stable sort makes the donor set
-    # uniform over distance ties.
-    perm = rng.permuted(np.tile(np.arange(n_obs), (n_mis, 1)), axis=1)
-    shuffled = np.take_along_axis(dist, perm, axis=1)
-    order = np.argsort(shuffled, axis=1, kind="stable")[:, :donors]
-    donor_idx = np.take_along_axis(perm, order, axis=1)
-    pick = rng.integers(0, donors, size=n_mis)
-    values = y_obs[donor_idx[np.arange(n_mis), pick]]
+    values = y_obs[pmm_donors(eta_obs, eta_mis, donors, rng)]
     return RegressionDraw(values, beta_hat, beta_star, sigma)
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -69,6 +68,8 @@ def pool(
         except OverflowError:
             # Rubin's df grows without bound as B -> 0.
             df = np.inf
+    from scipy import stats  # slow to import; see misslab.analyzer
+
     crit = float(stats.t.ppf(0.5 * (1.0 + level), df))
     half = crit * np.sqrt(t)
     return PooledEstimate(

@@ -22,6 +22,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _binary(a, what: str) -> np.ndarray:
+    """``a`` as uint8, checked to hold only 0 and 1 before the cast (which
+    would wrap 256 or -1 and truncate 0.5)."""
+    a = np.asarray(a)
+    if not ((a == 0) | (a == 1)).all():
+        raise ValueError(f"{what} must be 0 or 1")
+    return a.astype(np.uint8)
+
+
 @dataclass(frozen=True)
 class MissMask:
     """Binary missingness indicator matrix, 1 = missing.
@@ -35,14 +44,12 @@ class MissMask:
     logical: np.ndarray | None = None
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8)
+        bits = _binary(self.bits, "mask entries")
         if bits.ndim != 2:
             raise ValueError("mask must be 2-dimensional")
-        if not np.isin(bits, (0, 1)).all():
-            raise ValueError("mask entries must be 0 or 1")
         object.__setattr__(self, "bits", _readonly(bits))
         if self.logical is not None:
-            logical = np.asarray(self.logical, dtype=np.uint8)
+            logical = _binary(self.logical, "logical flags")
             if logical.shape != bits.shape:
                 raise ValueError("logical flags must match mask dimensions")
             if np.any(logical > bits):
@@ -321,7 +328,10 @@ def read_mask_csv(path: str | Path) -> tuple[MissMask, tuple[str, ...]]:
                 bits.append([int(f) for f in rec])
             except ValueError:
                 raise ValueError(f"{path}:{line_no}: mask entries must be 0/1") from None
-    arr = np.array(bits, dtype=np.uint8).reshape(len(bits), len(names))
+    arr = np.array(bits).reshape(len(bits), len(names))
+    bad = np.flatnonzero(((arr != 0) & (arr != 1)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}:{bad[0] + 2}: mask entries must be 0/1")
     return MissMask(arr), names
 
 

@@ -93,6 +93,12 @@ class TestAnalyze:
         assert (tmp_path / "rep.report.csv").exists()
         assert (tmp_path / "rep.summary.txt").exists()
 
+    def test_negative_mask_entry_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "mask.csv"
+        path.write_text("a,b\n0,1\n-1,0\n")
+        assert run(["analyze", "--mask", path]) == 1
+        assert "mask.csv:3: mask entries must be 0/1" in capsys.readouterr().err
+
     def test_with_ordering(self, tmp_path, capsys):
         path = self._mask_file(tmp_path)
         ordering = tmp_path / "order.txt"
@@ -187,6 +193,17 @@ class TestExperimentVerb:
         assert code == 1
         assert "qq_grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment", ["sim2", "sim3"])
+    def test_single_imputation_rejected_before_running(self, tmp_path, capsys,
+                                                       experiment):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"m": 1}))
+        code = run(["experiment", "--id", experiment, "--reps", 1, "--seed", 1,
+                    "--config", config, "--out", tmp_path / "o"])
+        assert code == 1
+        assert "m must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_flags_override_config(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(
@@ -223,3 +240,20 @@ class TestDispatchErrors:
         run(["simulate", "--spec", spec_file, "--data", data_file,
              "--seed", 3, "--out", tmp_path / "m.csv"])
         assert (data_file.read_bytes(), spec_file.read_bytes()) == before
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats takes about a second to import; verbs that need no
+    # statistics must not pay for it.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import misslab
+
+    src = str(Path(misslab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import misslab.cli, sys; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

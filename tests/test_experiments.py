@@ -35,6 +35,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="outside"):
             ExperimentConfig("sim2", q_grid=(0.5, 1.2)).validate()
 
+    @pytest.mark.parametrize("experiment", ["sim2", "sim3"])
+    def test_pooling_studies_need_two_imputations(self, experiment):
+        with pytest.raises(ValueError, match="^m must be >= 2"):
+            ExperimentConfig(experiment, m=1).validate()
+        ExperimentConfig(experiment, m=2).validate()
+
+    def test_sim1_accepts_one_imputation(self):
+        ExperimentConfig("sim1", m=1).validate()
+        with pytest.raises(ValueError, match="^m must be a positive integer"):
+            ExperimentConfig("sim1", m=0).validate()
+
     def test_default_grids(self):
         assert ExperimentConfig("sim2").effective_q_grid() == tuple(
             round(0.1 * i, 1) for i in range(11)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +13,41 @@ from misslab.impute import (
     fcs_impute,
     fit_norm_draw,
     fit_pmm_draw,
+    pmm_donors,
 )
 from misslab.tabular import DataMatrix, MissMask
 
 
 def design(x):
     return np.column_stack([np.ones(len(x)), x])
+
+
+def full_sort_donors(eta_obs, eta_mis, donors, rng):
+    """Reference matcher: shuffle every row of the n_mis x n_obs distance
+    matrix, stable-sort it in full and draw one of its first ``donors``
+    columns. Quadratic in memory; for small inputs only."""
+    n_obs, n_mis = len(eta_obs), len(eta_mis)
+    dist = np.abs(eta_obs[None, :] - eta_mis[:, None])
+    perm = rng.permuted(np.tile(np.arange(n_obs), (n_mis, 1)), axis=1)
+    shuffled = np.take_along_axis(dist, perm, axis=1)
+    order = np.argsort(shuffled, axis=1, kind="stable")[:, :donors]
+    donor_idx = np.take_along_axis(perm, order, axis=1)
+    return donor_idx[np.arange(n_mis), rng.integers(0, donors, size=n_mis)]
+
+
+def candidates(eta_obs, target, donors):
+    """Rows strictly closer than the ``donors``-th smallest distance, and
+    rows tied at it, from a full sort."""
+    dist = np.abs(eta_obs - target)
+    d_k = np.sort(dist)[donors - 1]
+    return dist < d_k, dist == d_k
+
+
+def counts_by_recipient(idx, n_targets, reps, n_obs):
+    return np.stack([
+        np.bincount(idx[t * reps:(t + 1) * reps], minlength=n_obs)
+        for t in range(n_targets)
+    ])
 
 
 def masked(values, bits, names=None, logical=None):
@@ -115,6 +145,108 @@ class TestPmmDraw:
                               rng=rng).values
         counts = np.bincount(values.astype(int), minlength=20)
         assert counts.min() > 100  # roughly uniform, 200 expected each
+
+
+class TestPmmDonors:
+    def test_matches_full_sort_oracle_on_heavy_ties(self):
+        # Integer predictions and half-integer recipients give ties on one
+        # side and on both sides of a recipient, and runs of equal values
+        # longer than 2 * donors.
+        rng = np.random.default_rng(40)
+        reps = 4000
+        for trial in range(12):
+            n_obs = int(rng.integers(1, 21))
+            eta_obs = np.round(rng.normal(scale=1.5, size=n_obs))
+            targets = np.arange(-4.0, 4.5, 0.5)
+            eta_mis = np.repeat(targets, reps)
+            for donors in sorted({1, (n_obs + 1) // 2, n_obs,
+                                  int(rng.integers(1, n_obs + 1))}):
+                new = counts_by_recipient(
+                    pmm_donors(eta_obs, eta_mis, donors, rng),
+                    len(targets), reps, n_obs)
+                old = counts_by_recipient(
+                    full_sort_donors(eta_obs, eta_mis, donors, rng),
+                    len(targets), reps, n_obs)
+                for t, target in enumerate(targets):
+                    closer, tied = candidates(eta_obs, target, donors)
+                    allowed = closer | tied
+                    assert new[t, ~allowed].sum() == 0, (trial, donors, target)
+                    assert (new[t, allowed] > 0).all(), (trial, donors, target)
+                    # Same donor frequencies as the full sort, within 5 SE
+                    # of a two-sample difference.
+                    p = (new[t] + old[t]) / (2 * reps)
+                    se = np.sqrt(p * (1 - p) * 2 / reps)
+                    gap = np.abs(new[t] - old[t]) / reps
+                    assert (gap <= 5 * se + 1e-12).all(), (trial, donors, target)
+
+    def test_tie_run_past_the_window_is_uniform(self):
+        # Runs of 3 * donors + 3 equal predictions at 0 and at 1: a
+        # recipient at 0.25 draws only from the run at 0 (to its left), one
+        # at 0.75 only from the run at 1 (to its right), one at 0.5 from
+        # both; each run is longer than the 2 * donors sorted neighbours.
+        donors, run = 4, 15
+        eta_obs = np.concatenate([
+            np.arange(-20.0, 0.0), np.zeros(run), np.ones(run),
+            np.arange(2.0, 22.0),
+        ])
+        shuffle = np.random.default_rng(41).permutation(len(eta_obs))
+        eta_obs = eta_obs[shuffle]
+        reps = 30_000
+        targets = (0.25, 0.75, 0.5)
+        idx = pmm_donors(eta_obs, np.repeat(targets, reps), donors,
+                         np.random.default_rng(42))
+        counts = counts_by_recipient(idx, len(targets), reps, len(eta_obs))
+        for t, members in enumerate((eta_obs == 0, eta_obs == 1,
+                                     (eta_obs == 0) | (eta_obs == 1))):
+            assert counts[t, ~members].sum() == 0
+            p = 1 / members.sum()
+            se = math.sqrt(reps * p * (1 - p))
+            assert (np.abs(counts[t, members] - reps * p) < 5 * se).all()
+
+    def test_memory_stays_linear(self):
+        # The full-sort matcher needs 3.2 GB for each 20 000 x 20 000 array.
+        n, donors = 20_000, 5
+        rng = np.random.default_rng(43)
+        x = np.column_stack([np.ones(2 * n), rng.normal(size=(2 * n, 2))])
+        y = x[:n] @ [1.0, 2.0, 3.0] + rng.normal(size=n)
+        x_obs, x_mis = x[:n].copy(), x[n:].copy()
+        bound = 400 * (n + n)  # bytes
+        for args in ((y, x_obs, x_mis, donors, 1e-5),
+                     # constant design: every prediction tied
+                     (y, np.ones((n, 1)), np.ones((n, 1)), donors, 0.0)):
+            tracemalloc.start()
+            try:
+                fit_pmm_draw(*args, rng=np.random.default_rng(44))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, peak
+
+    def test_no_recipients(self):
+        idx = pmm_donors(np.arange(5.0), np.empty(0), 3,
+                         np.random.default_rng(45))
+        assert idx.shape == (0,)
+        d = fit_pmm_draw(np.arange(5.0), np.ones((5, 1)), np.empty((0, 1)),
+                         donors=3, ridge=0.0, rng=np.random.default_rng(45))
+        assert d.values.shape == (0,)
+
+    def test_donors_equal_to_observed_rows_is_uniform(self):
+        eta_obs = np.array([0.0, 0.1, 0.5, 2.0, 7.0])
+        reps = 20_000
+        idx = pmm_donors(eta_obs, np.full(reps, 0.2), 5,
+                         np.random.default_rng(46))
+        counts = np.bincount(idx, minlength=5)
+        se = math.sqrt(reps * 0.2 * 0.8)
+        assert (np.abs(counts - reps * 0.2) < 5 * se).all()
+
+    def test_single_observed_row(self):
+        idx = pmm_donors(np.array([3.0]), np.array([-1.0, 3.0, 9.0]), 1,
+                         np.random.default_rng(47))
+        assert idx.tolist() == [0, 0, 0]
+
+    def test_donor_count_out_of_range(self):
+        with pytest.raises(ValueError, match="donors=4"):
+            pmm_donors(np.arange(3.0), np.zeros(1), 4, np.random.default_rng(0))
 
 
 class TestFcsImpute:

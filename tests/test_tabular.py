@@ -184,3 +184,23 @@ class TestInvariants:
     def test_logical_must_be_subset(self):
         with pytest.raises(ValueError, match="subset"):
             MissMask([[0, 1]], logical=[[1, 0]])
+
+    @pytest.mark.parametrize("bad", [0.5, 256, -1, np.nan])
+    def test_non_binary_entries_rejected_before_cast(self, bad):
+        # A uint8 cast first would turn 0.5 and 256 into 0 and -1 into 255.
+        with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
+            MissMask(np.array([[bad, 1.0]]))
+        with pytest.raises(ValueError, match="logical flags must be 0 or 1"):
+            MissMask([[1, 1]], logical=np.array([[bad, 1.0]]))
+
+    def test_boolean_mask_accepted(self):
+        m = MissMask(np.array([[True, False]]))
+        assert m.bits.dtype == np.uint8
+        assert m.bits.tolist() == [[1, 0]]
+
+    @pytest.mark.parametrize("entry", ["-1", "256", "2"])
+    def test_mask_csv_out_of_range_entry_names_file_and_line(self, tmp_path, entry):
+        path = tmp_path / "m.csv"
+        path.write_text(f"a,b\n0,1\n1,{entry}\n")
+        with pytest.raises(ValueError, match=r"m\.csv:3: mask entries must be 0/1"):
+            read_mask_csv(path)
