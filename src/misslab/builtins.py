@@ -49,12 +49,6 @@ BUILTIN_NAMES = (
     "unit_block",
 )
 
-# Structures whose missing cells ought to be imputed (everything except the
-# complete case and the whole-row block, which is handled by deletion).
-IMPUTABLE_NAMES = tuple(
-    n for n in BUILTIN_NAMES if n not in ("complete", "unit_block")
-)
-
 _WS_BLOCK_PI = 0.5  # share of rows in the elevated-missingness batch
 _WS_BLOCK_RATIO = 0.2  # baseline probability as a fraction of the batch one
 _WS_SEQ_STICKINESS = 0.8  # P(missing | previous visit missed)

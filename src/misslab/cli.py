@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -129,14 +130,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_classify(args) -> int:
     spec = load_spec(_require_file(args.spec, "--spec"))
     label = classify(spec)
-    payload = {
-        "label": label.short(),
-        "data_dependence": label.data_dependence,
-        "structure": label.structure,
-        "shape": label.shape,
-        "determinism": label.determinism,
-        "sign": label.sign,
-    }
+    payload = {"label": label.short(), **asdict(label)}
     if spec.declared_label is not None:
         payload["declared"] = spec.declared_label.short()
         payload["matches_declared"] = label == spec.declared_label
@@ -277,9 +271,6 @@ def config_from_mapping(values: dict) -> ExperimentConfig:
         raise _UsageError(
             f"--config: unknown fields: {', '.join(sorted(unknown))}"
         )
-    for key in ("rho_list", "structures", "maxit_list", "q_grid"):
-        if key in values and values[key] is not None:
-            values[key] = tuple(values[key])
     return ExperimentConfig(**values)
 
 
@@ -333,3 +324,7 @@ def dispatch(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

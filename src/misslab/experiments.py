@@ -20,8 +20,9 @@ rows are emitted in a deterministic order.
 from __future__ import annotations
 
 import csv
+import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -75,6 +76,17 @@ class ExperimentConfig:
     maxit_list: tuple[int, ...] = (5, 50)
     sim3_maxit: int = 50
 
+    def __post_init__(self):
+        # Fields may come from JSON overrides. Check each against its
+        # annotation, naming it, and store float fields as floats so that
+        # 0 and 0.0 write the same bytes.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "out_dir" or (value is None and f.type.endswith(" | None")):
+                continue
+            value = _typed(f.name, value, f.type.removesuffix(" | None"))
+            object.__setattr__(self, f.name, value)
+
     def validate(self) -> None:
         if self.experiment not in EXPERIMENT_IDS:
             raise ValueError(
@@ -114,6 +126,32 @@ class ExperimentConfig:
         if self.experiment == "sim2":
             return tuple(round(0.1 * i, 1) for i in range(11))
         return (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+_TYPES = {"int": (numbers.Integral, int), "float": (numbers.Real, float), "str": (str, str)}
+
+
+def _typed(name: str, value, kind: str):
+    """``value`` as the config type ``kind``: "int", "float", "str" or
+    "tuple[<one of those>, ...]", which takes a list or a tuple."""
+    if kind.startswith("tuple["):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name}: expected a list, got {value!r}")
+        return tuple(_typed(name, v, kind[len("tuple["):-len(", ...]")]) for v in value)
+    accepted, convert = _TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{name}: expected {kind}, got {value!r}")
+    return convert(value)
+
+
+# The config fields each study reads, in manifest order.
+_COMMON_FIELDS = ("n_replicates", "seed", "threads", "m")
+_MANIFEST_FIELDS = {
+    "sim1": _COMMON_FIELDS + ("n_train", "n_test", "p", "rho_list", "structures",
+                              "maxit", "donors", "missing_rate"),
+    "sim2": _COMMON_FIELDS + ("n", "q_grid", "maxit_list"),
+    "sim3": _COMMON_FIELDS + ("n", "q_grid", "sim3_maxit"),
+}
 
 
 @dataclass
@@ -339,9 +377,7 @@ def run_sim2(cfg: ExperimentConfig) -> ExperimentOutput:
         _check_label(sim2_spec(q), sim2_label(q), f"study 2 at q={q}")
     rows = _map_replicates(_sim2_replicate, cfg)
     rows.sort(key=lambda r: (r["q"], r["maxit"], r["replicate"]))
-    summary = _bias_coverage_summary(
-        rows, keys=("q", "maxit"), truth=SIM2_TRUE_SLOPE, estimand="beta2"
-    )
+    summary = _bias_coverage_summary(rows, keys=("q", "maxit"), truth=SIM2_TRUE_SLOPE)
     manifest = _manifest(cfg, notes=(f"analysis slope truth = {SIM2_TRUE_SLOPE}",))
     return ExperimentOutput(
         rows,
@@ -432,9 +468,7 @@ def run_sim3(cfg: ExperimentConfig) -> ExperimentOutput:
         _check_label(sim3_spec(q), sim3_label(q), f"study 3 at q={q}")
     rows = _map_replicates(_sim3_replicate, cfg)
     rows.sort(key=lambda r: (r["q"], r["approach"], r["replicate"]))
-    summary = _bias_coverage_summary(
-        rows, keys=("q", "approach"), truth=SIM3_TRUE_MEAN, estimand="mean_x2"
-    )
+    summary = _bias_coverage_summary(rows, keys=("q", "approach"), truth=SIM3_TRUE_MEAN)
     for entry in summary:
         signs = [
             r["m1_m2_sign"]
@@ -459,29 +493,15 @@ def run_sim3(cfg: ExperimentConfig) -> ExperimentOutput:
 # ---------------------------------------------------------------------------
 
 
-def _bias_coverage_summary(rows, keys, truth, estimand) -> list[dict]:
-    from .inference import PooledEstimate
-
+def _bias_coverage_summary(rows, keys, truth) -> list[dict]:
     combos: dict[tuple, list[dict]] = {}
     for r in rows:
         combos.setdefault(tuple(r[k] for k in keys), []).append(r)
     out = []
     for combo, group in sorted(combos.items()):
-        pseudo = [
-            PooledEstimate(
-                estimate=g["estimate"],
-                within=np.nan,
-                between=np.nan,
-                total=np.nan,
-                df=np.nan,
-                ci_low=g["ci_low"],
-                ci_high=g["ci_high"],
-                level=0.95,
-                m=0,
-            )
-            for g in group
-        ]
-        rec = replicate_metrics(pseudo, truth, estimand)
+        rec = replicate_metrics(
+            *([g[c] for g in group] for c in ("estimate", "ci_low", "ci_high")), truth
+        )
         entry = dict(zip(keys, combo))
         entry.update(
             {
@@ -549,33 +569,12 @@ def _manifest(cfg: ExperimentConfig, notes: tuple[str, ...]) -> str:
         f"experiment: {cfg.experiment}",
         f"code_version: misslab {__version__}",
         "config:",
-        f"  n_replicates: {cfg.n_replicates}",
-        f"  seed: {cfg.seed}",
-        f"  threads: {cfg.threads}",
-        f"  m: {cfg.m}",
     ]
-    if cfg.experiment == "sim1":
-        lines += [
-            f"  n_train: {cfg.n_train}",
-            f"  n_test: {cfg.n_test}",
-            f"  p: {cfg.p}",
-            f"  rho_list: {', '.join(format_value(r) for r in cfg.rho_list)}",
-            f"  structures: {', '.join(cfg.structures)}",
-            f"  maxit: {cfg.maxit}",
-            f"  donors: {cfg.donors}",
-            f"  missing_rate: {format_value(cfg.missing_rate)}",
-        ]
-    else:
-        lines += [
-            f"  n: {cfg.n}",
-            f"  q_grid: {', '.join(format_value(q) for q in cfg.effective_q_grid())}",
-        ]
-        if cfg.experiment == "sim2":
-            lines.append(
-                f"  maxit_list: {', '.join(str(v) for v in cfg.maxit_list)}"
-            )
-        else:
-            lines.append(f"  sim3_maxit: {cfg.sim3_maxit}")
+    for name in _MANIFEST_FIELDS[cfg.experiment]:
+        value = cfg.effective_q_grid() if name == "q_grid" else getattr(cfg, name)
+        if isinstance(value, tuple):
+            value = ", ".join(_format_cell(v) for v in value)
+        lines.append(f"  {name}: {_format_cell(value)}")
     if notes:
         lines.append("notes:")
         lines.extend(f"  - {note}" for note in notes)

@@ -29,9 +29,6 @@ class PooledEstimate:
     level: float
     m: int
 
-    def covers(self, truth: float) -> bool:
-        return self.ci_low <= truth <= self.ci_high
-
 
 def pool(
     estimates: Sequence[float],
@@ -106,13 +103,18 @@ class MetricsRecord:
 
 
 def replicate_metrics(
-    pooled: Sequence[PooledEstimate], truth: float, estimand: str = ""
+    estimates: Sequence[float],
+    ci_low: Sequence[float],
+    ci_high: Sequence[float],
+    truth: float,
+    estimand: str = "",
 ) -> MetricsRecord:
-    """Bias, coverage and decomposed MSE over replicate pooled estimates."""
-    if not pooled:
+    """Bias, coverage and decomposed MSE over replicate estimates and their
+    interval ends (one of each per replicate)."""
+    q = np.asarray(estimates, dtype=float)
+    if q.size == 0:
         raise ValueError("need at least one replicate")
-    q = np.array([p.estimate for p in pooled])
-    covered = np.array([p.covers(truth) for p in pooled])
+    covered = (np.asarray(ci_low) <= truth) & (truth <= np.asarray(ci_high))
     mean_estimate = float(q.mean())
     bias = mean_estimate - truth
     variance = float(np.mean((q - mean_estimate) ** 2))
@@ -126,7 +128,7 @@ def replicate_metrics(
         mse=mse,
         bias_sq=bias * bias,
         variance=variance,
-        n_replicates=len(pooled),
+        n_replicates=len(q),
     )
 
 
@@ -176,37 +178,3 @@ def ols_fit(y: np.ndarray, design: np.ndarray) -> OlsFit:
     else:
         cov = sigma2 * np.linalg.pinv(xtx)
     return OlsFit(coef=coef, cov=cov, sigma2=sigma2, dof=dof)
-
-
-def metrics_csv_rows(records: Sequence[tuple[str, MetricsRecord]]) -> list[list[str]]:
-    """Rows for the (scenario, estimand, ...) metrics table."""
-    from .tabular import format_value as fv
-
-    rows = [
-        [
-            "scenario",
-            "estimand",
-            "truth",
-            "bias",
-            "coverage",
-            "mse",
-            "bias_sq",
-            "variance",
-            "n_rep",
-        ]
-    ]
-    for scenario, rec in records:
-        rows.append(
-            [
-                scenario,
-                rec.estimand,
-                fv(rec.truth),
-                fv(rec.bias),
-                fv(rec.coverage),
-                fv(rec.mse),
-                fv(rec.bias_sq),
-                fv(rec.variance),
-                str(rec.n_replicates),
-            ]
-        )
-    return rows

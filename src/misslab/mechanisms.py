@@ -28,9 +28,9 @@ sign of indicator-indicator association where determinable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import ClassVar, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -120,12 +120,39 @@ Predicate = tuple[Comparison, ...]  # conjunction of comparisons
 
 
 # ---------------------------------------------------------------------------
-# Clauses
+# Clauses. Each clause type is the one place that knows its own fields: the
+# references it holds, how it changes a rule's per-row outcome, the
+# dependency edges it declares and its JSON ``type`` tag.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
+class _Dependence:
+    """One resolved dependency edge feeding the classifier and DOT export."""
+
+    source: tuple[str, int]  # ("data"|"mask"|"block"|"subject", index)
+    target: int
+    deterministic: bool
+    sign: str | None = None
+
+
+def _edge(
+    ref: PredictorRef, target: int, deterministic: bool, sign: str | None = None
+) -> _Dependence:
+    return _Dependence((ref.kind, ref.index or 0), target, deterministic, sign)
+
+
+def _map_pred(pred: Predicate | None, fn) -> Predicate | None:
+    if pred is None:
+        return None
+    return tuple(replace(c, ref=fn(c.ref)) for c in pred)
+
+
+@dataclass(frozen=True)
 class LogisticClause:
+    tag: ClassVar[str] = "logistic"
+    forces: ClassVar[bool] = False
+
     intercept: float = 0.0
     terms: tuple[tuple[PredictorRef, float], ...] = ()
 
@@ -136,6 +163,31 @@ class LogisticClause:
             if not np.isfinite(coef):
                 raise SpecificationError("logistic coefficients must be finite")
 
+    def refs(self) -> list[PredictorRef]:
+        return [ref for ref, _ in self.terms]
+
+    def map_refs(self, fn) -> "LogisticClause":
+        return replace(self, terms=tuple((fn(ref), coef) for ref, coef in self.terms))
+
+    def apply(self, ctx: "_EvalContext", out: "_RuleOutcome") -> None:
+        eta = np.full(ctx.n, self.intercept, dtype=float)
+        for ref, coef in self.terms:
+            eta += coef * ctx.resolve(ref)
+        if not np.isfinite(eta).all():
+            raise EvaluationError(
+                f"non-finite linear predictor in rule for column {out.target}"
+            )
+        out.trigger(_expit(eta))
+
+    def edges(self, target: int) -> list[_Dependence]:
+        return [
+            _edge(ref, target, False,
+                  (POSITIVE if coef * ref.scale > 0 else NEGATIVE)
+                  if ref.kind in ("mask", "block") else None)
+            for ref, coef in self.terms
+            if coef * ref.scale != 0.0 and ref.kind != "constant"
+        ]
+
 
 @dataclass(frozen=True)
 class TableClause:
@@ -143,8 +195,12 @@ class TableClause:
 
     ``probs`` maps each full parent configuration (a tuple of 0/1 values,
     one per parent) to a missingness probability. Every configuration must
-    be present. Parents must be mask or block references.
+    be present exactly once; they are stored in increasing binary order.
+    Parents must be mask or block references.
     """
+
+    tag: ClassVar[str] = "table"
+    forces: ClassVar[bool] = False
 
     parents: tuple[PredictorRef, ...] = ()
     probs: tuple[tuple[tuple[int, ...], float], ...] = ((tuple(), 0.0),)
@@ -161,20 +217,20 @@ class TableClause:
             }
         else:
             want = {tuple()}
-        if keys != want:
+        if keys != want or len(self.probs) != len(want):
             raise SpecificationError(
                 "table must assign a probability to every parent configuration"
             )
         for _, p in self.probs:
             if not (0.0 <= p <= 1.0):
                 raise SpecificationError(f"table probability {p} outside [0, 1]")
+        object.__setattr__(self, "probs", tuple(sorted(self.probs)))
 
     @classmethod
     def from_dict(
         cls, parents: Sequence[PredictorRef], probs: Mapping[tuple[int, ...], float]
     ) -> "TableClause":
-        items = tuple(sorted((tuple(k), float(v)) for k, v in probs.items()))
-        return cls(tuple(parents), items)
+        return cls(tuple(parents), tuple((tuple(k), float(v)) for k, v in probs.items()))
 
     @classmethod
     def bernoulli(cls, rate: float) -> "TableClause":
@@ -183,12 +239,86 @@ class TableClause:
     def prob_map(self) -> dict[tuple[int, ...], float]:
         return dict(self.probs)
 
+    def refs(self) -> list[PredictorRef]:
+        return list(self.parents)
+
+    def map_refs(self, fn) -> "TableClause":
+        return replace(self, parents=tuple(fn(ref) for ref in self.parents))
+
+    def apply(self, ctx: "_EvalContext", out: "_RuleOutcome") -> None:
+        # probs is sorted, so a configuration's binary code is its position.
+        code = np.zeros(ctx.n, dtype=np.int64)
+        for ref in self.parents:
+            code = (code << 1) | (ctx.resolve(ref) > 0.5).astype(np.int64)
+        out.trigger(np.array([p for _, p in self.probs])[code])
+
+    def edges(self, target: int) -> list[_Dependence]:
+        out = []
+        for pos, ref in enumerate(self.parents):
+            varies, reaches_one, sign = self._parent_effect(pos)
+            if varies:
+                out.append(_edge(ref, target, reaches_one, sign))
+        return out
+
+    def _parent_effect(self, pos: int):
+        """(varies, reaches_one, sign) for the ``pos``-th parent."""
+        probs = self.prob_map()
+        varies = False
+        reaches_one = False
+        signs: set[str] = set()
+        for key, p1 in probs.items():
+            if key[pos] == 1:
+                k0 = key[:pos] + (0,) + key[pos + 1:]
+                p0 = probs[k0]
+                if p1 != p0:
+                    varies = True
+                    signs.add(POSITIVE if p1 > p0 else NEGATIVE)
+                    if max(p0, p1) == 1.0:
+                        reaches_one = True
+        if not varies:
+            return False, False, None
+        sign = signs.pop() if len(signs) == 1 else MIXED
+        return True, reaches_one, sign
+
 
 @dataclass(frozen=True)
-class ForceClause:
-    """When every comparison holds, the indicator is forced to ``value``."""
+class _PredicateClause:
+    """A clause that acts on the rows where its predicate ``when`` holds."""
+
+    forces: ClassVar[bool] = True
 
     when: Predicate
+
+    def refs(self) -> list[PredictorRef]:
+        return [cmp_.ref for cmp_ in self.when]
+
+    def map_refs(self, fn):
+        return replace(self, when=_map_pred(self.when, fn))
+
+
+def _comparison_sign(cmp_: Comparison, forced_value: int) -> str | None:
+    # Direction of a force clause w.r.t. a binary mask/block parent:
+    # triggering on parent==1 and forcing missing is a positive coupling.
+    if cmp_.op == "==" and cmp_.value in (0.0, 1.0):
+        trigger_on_one = cmp_.value == 1.0
+    elif cmp_.op == "!=" and cmp_.value in (0.0, 1.0):
+        trigger_on_one = cmp_.value == 0.0
+    elif cmp_.op in (">", ">="):
+        trigger_on_one = True
+    elif cmp_.op in ("<", "<="):
+        trigger_on_one = False
+    else:
+        return None
+    positive = trigger_on_one == (forced_value == 1)
+    return POSITIVE if positive else NEGATIVE
+
+
+@dataclass(frozen=True)
+class ForceClause(_PredicateClause):
+    """When every comparison holds, the indicator is forced to ``value``."""
+
+    tag: ClassVar[str] = "force"
+
     value: int = 1
 
     def __post_init__(self):
@@ -197,12 +327,24 @@ class ForceClause:
         if not self.when:
             raise SpecificationError("force clause needs a non-empty predicate")
 
+    def apply(self, ctx: "_EvalContext", out: "_RuleOutcome") -> None:
+        out.forced[self.value] |= ctx.predicate(self.when) & out.scope
+
+    def edges(self, target: int) -> list[_Dependence]:
+        return [
+            _edge(cmp_.ref, target, True,
+                  _comparison_sign(cmp_, self.value)
+                  if cmp_.ref.kind in ("mask", "block") else None)
+            for cmp_ in self.when
+            if cmp_.ref.kind != "constant"
+        ]
+
 
 @dataclass(frozen=True)
-class LogicalClause:
+class LogicalClause(_PredicateClause):
     """Data predicate marking cells logically missing (non-imputable)."""
 
-    when: Predicate
+    tag: ClassVar[str] = "logical"
 
     def __post_init__(self):
         if not self.when:
@@ -212,6 +354,12 @@ class LogicalClause:
                 raise SpecificationError(
                     "logical clauses may only reference data columns"
                 )
+
+    def apply(self, ctx: "_EvalContext", out: "_RuleOutcome") -> None:
+        out.logical |= ctx.predicate(self.when) & out.scope
+
+    def edges(self, target: int) -> list[_Dependence]:
+        return [_edge(cmp_.ref, target, True) for cmp_ in self.when]
 
 
 Clause = Union[LogisticClause, TableClause, ForceClause, LogicalClause]
@@ -224,17 +372,17 @@ class MechanismRule:
     subject_scope: Predicate | None = None
 
     def refs(self) -> list[PredictorRef]:
-        out: list[PredictorRef] = []
-        for c in self.clauses:
-            if isinstance(c, LogisticClause):
-                out.extend(ref for ref, _ in c.terms)
-            elif isinstance(c, TableClause):
-                out.extend(c.parents)
-            elif isinstance(c, (ForceClause, LogicalClause)):
-                out.extend(cmp_.ref for cmp_ in c.when)
-        if self.subject_scope:
-            out.extend(cmp_.ref for cmp_ in self.subject_scope)
+        out = [ref for c in self.clauses for ref in c.refs()]
+        out.extend(cmp_.ref for cmp_ in self.subject_scope or ())
         return out
+
+    def map_refs(self, fn) -> "MechanismRule":
+        """This rule with every predictor reference replaced by ``fn(ref)``."""
+        return MechanismRule(
+            self.target,
+            tuple(c.map_refs(fn) for c in self.clauses),
+            _map_pred(self.subject_scope, fn),
+        )
 
 
 @dataclass(frozen=True)
@@ -330,12 +478,8 @@ class MechanismSpec:
                 self, "rules", tuple(sorted(self.rules, key=lambda r: r.target))
             )
         order = self.simulation_order
-        if order is None:
-            order = tuple(range(p))
-            object.__setattr__(self, "simulation_order", order)
-        else:
-            order = tuple(int(j) for j in order)
-            object.__setattr__(self, "simulation_order", order)
+        order = tuple(range(p)) if order is None else tuple(int(j) for j in order)
+        object.__setattr__(self, "simulation_order", order)
         if sorted(order) != list(range(p)):
             raise SpecificationError("simulation_order must be a permutation")
         if self.temporal_order is not None:
@@ -447,6 +591,21 @@ class _EvalContext:
         return out
 
 
+class _RuleOutcome:
+    """Per-row state of one rule while its clauses are applied in order."""
+
+    def __init__(self, target: int, n: int, scope: np.ndarray):
+        self.target = target
+        self.scope = scope
+        self.prob = np.zeros(n)
+        self.forced = {1: np.zeros(n, dtype=bool), 0: np.zeros(n, dtype=bool)}
+        self.logical = np.zeros(n, dtype=bool)
+
+    def trigger(self, p: np.ndarray) -> None:
+        """Combine a clause probability, in scope, as an independent trigger."""
+        self.prob = np.where(self.scope, 1.0 - (1.0 - self.prob) * (1.0 - p), self.prob)
+
+
 def rule_probabilities(
     rule: MechanismRule, ctx: _EvalContext
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -456,54 +615,15 @@ def rule_probabilities(
     combine as independent triggers; forced-missing beats forced-observed
     beats probability.
     """
-    n = ctx.n
     scope = (
         ctx.predicate(rule.subject_scope)
         if rule.subject_scope
-        else np.ones(n, dtype=bool)
+        else np.ones(ctx.n, dtype=bool)
     )
-    prob = np.zeros(n)
-    force1 = np.zeros(n, dtype=bool)
-    force0 = np.zeros(n, dtype=bool)
-    logical = np.zeros(n, dtype=bool)
+    out = _RuleOutcome(rule.target, ctx.n, scope)
     for clause in rule.clauses:
-        if isinstance(clause, LogisticClause):
-            eta = np.full(n, clause.intercept, dtype=float)
-            for ref, coef in clause.terms:
-                eta += coef * ctx.resolve(ref)
-            if not np.isfinite(eta).all():
-                raise EvaluationError(
-                    f"non-finite linear predictor in rule for column {rule.target}"
-                )
-            p_c = _expit(eta)
-        elif isinstance(clause, TableClause):
-            if clause.parents:
-                code = np.zeros(n, dtype=np.int64)
-                for ref in clause.parents:
-                    bit = ctx.resolve(ref)
-                    code = (code << 1) | (bit > 0.5).astype(np.int64)
-                lut = np.empty(2 ** len(clause.parents))
-                for key, p_key in clause.probs:
-                    idx = 0
-                    for b in key:
-                        idx = (idx << 1) | b
-                    lut[idx] = p_key
-                p_c = lut[code]
-            else:
-                p_c = np.full(n, clause.probs[0][1])
-        elif isinstance(clause, ForceClause):
-            hit = ctx.predicate(clause.when) & scope
-            if clause.value == 1:
-                force1 |= hit
-            else:
-                force0 |= hit
-            continue
-        else:  # LogicalClause
-            hit = ctx.predicate(clause.when) & scope
-            logical |= hit
-            continue
-        prob = np.where(scope, 1.0 - (1.0 - prob) * (1.0 - p_c), prob)
-    return prob, force1, force0, logical
+        clause.apply(ctx, out)
+    return out.prob, out.forced[1], out.forced[0], out.logical
 
 
 def simulate_mask(
@@ -530,11 +650,7 @@ def simulate_mask(
         raise SpecificationError(
             f"spec has {spec.p} columns but data has {p}"
         )
-    rng = (
-        seed
-        if isinstance(seed, np.random.Generator)
-        else np.random.default_rng(seed)
-    )
+    rng = np.random.default_rng(seed)  # returns a Generator unaltered
     subj = (
         rng.normal(0.0, np.sqrt(spec.subject_effect_var), size=n)
         if spec.subject_effect_var is not None
@@ -563,123 +679,20 @@ def simulate_mask(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Dependence:
-    """One resolved dependency edge feeding the classifier and DOT export."""
-
-    source: tuple[str, int]  # ("data"|"mask"|"block"|"subject", index)
-    target: int
-    deterministic: bool
-    sign: str | None = None
-
-
-def _table_parent_effect(clause: TableClause, pos: int):
-    """(varies, reaches_one, sign) for the ``pos``-th parent of a table."""
-    probs = clause.prob_map()
-    varies = False
-    reaches_one = False
-    signs: set[str] = set()
-    for key, p1 in probs.items():
-        if key[pos] == 1:
-            k0 = key[:pos] + (0,) + key[pos + 1:]
-            p0 = probs[k0]
-            if p1 != p0:
-                varies = True
-                signs.add(POSITIVE if p1 > p0 else NEGATIVE)
-                if max(p0, p1) == 1.0:
-                    reaches_one = True
-    if not varies:
-        return False, False, None
-    sign = signs.pop() if len(signs) == 1 else MIXED
-    return True, reaches_one, sign
-
-
-def _comparison_sign(cmp_: Comparison, forced_value: int) -> str | None:
-    # Direction of a force clause w.r.t. a binary mask/block parent:
-    # triggering on parent==1 and forcing missing is a positive coupling.
-    if cmp_.op == "==" and cmp_.value in (0.0, 1.0):
-        trigger_on_one = cmp_.value == 1.0
-    elif cmp_.op == "!=" and cmp_.value in (0.0, 1.0):
-        trigger_on_one = cmp_.value == 0.0
-    elif cmp_.op in (">", ">="):
-        trigger_on_one = True
-    elif cmp_.op in ("<", "<="):
-        trigger_on_one = False
-    else:
-        return None
-    positive = trigger_on_one == (forced_value == 1)
-    return POSITIVE if positive else NEGATIVE
-
-
 def spec_dependencies(spec: MechanismSpec) -> list[_Dependence]:
     """Resolve every effective dependency edge declared by the rules."""
     edges: list[_Dependence] = []
     for rule in spec.rules:
-        rule_forces = any(isinstance(c, (ForceClause, LogicalClause))
-                          for c in rule.clauses)
-        if rule.subject_scope:
-            for cmp_ in rule.subject_scope:
-                if cmp_.ref.kind in ("data", "mask", "block", "subject"):
-                    edges.append(
-                        _Dependence(
-                            (cmp_.ref.kind, cmp_.ref.index or 0),
-                            rule.target,
-                            deterministic=rule_forces,
-                        )
-                    )
+        # A subject scope gates every clause of its rule, so it is as
+        # deterministic as the rule's strongest clause.
+        forces = any(clause.forces for clause in rule.clauses)
+        edges.extend(
+            _edge(cmp_.ref, rule.target, forces)
+            for cmp_ in rule.subject_scope or ()
+            if cmp_.ref.kind != "constant"
+        )
         for clause in rule.clauses:
-            if isinstance(clause, LogisticClause):
-                for ref, coef in clause.terms:
-                    if coef * ref.scale == 0.0 or ref.kind == "constant":
-                        continue
-                    sign = None
-                    if ref.kind in ("mask", "block"):
-                        sign = POSITIVE if coef * ref.scale > 0 else NEGATIVE
-                    edges.append(
-                        _Dependence(
-                            (ref.kind, ref.index or 0),
-                            rule.target,
-                            deterministic=False,
-                            sign=sign,
-                        )
-                    )
-            elif isinstance(clause, TableClause):
-                for pos, ref in enumerate(clause.parents):
-                    varies, reaches_one, sign = _table_parent_effect(clause, pos)
-                    if not varies:
-                        continue
-                    edges.append(
-                        _Dependence(
-                            (ref.kind, ref.index or 0),
-                            rule.target,
-                            deterministic=reaches_one,
-                            sign=sign,
-                        )
-                    )
-            elif isinstance(clause, ForceClause):
-                for cmp_ in clause.when:
-                    if cmp_.ref.kind == "constant":
-                        continue
-                    sign = None
-                    if cmp_.ref.kind in ("mask", "block"):
-                        sign = _comparison_sign(cmp_, clause.value)
-                    edges.append(
-                        _Dependence(
-                            (cmp_.ref.kind, cmp_.ref.index or 0),
-                            rule.target,
-                            deterministic=True,
-                            sign=sign,
-                        )
-                    )
-            else:  # LogicalClause
-                for cmp_ in clause.when:
-                    edges.append(
-                        _Dependence(
-                            (cmp_.ref.kind, cmp_.ref.index or 0),
-                            rule.target,
-                            deterministic=True,
-                        )
-                    )
+            edges.extend(clause.edges(rule.target))
     return edges
 
 
@@ -792,6 +805,15 @@ def _toposort(p: int, deps: dict[int, set[int]]) -> tuple[int, ...]:
     return tuple(order)
 
 
+def _shared(values: list, conflict: str):
+    """The value the non-None entries of ``values`` agree on (None if all
+    are None); a disagreement raises SpecificationError(``conflict``)."""
+    given = [v for v in values if v is not None]
+    if any(v != given[0] for v in given[1:]):
+        raise SpecificationError(conflict)
+    return given[0] if given else None
+
+
 def compose(
     specs: Sequence[MechanismSpec], combiner: str = "union_force_missing"
 ) -> MechanismSpec:
@@ -809,45 +831,32 @@ def compose(
     p = specs[0].p
     if any(s.p != p for s in specs):
         raise SpecificationError("specs must share dimensions")
-    temporal = None
-    for s in specs:
-        if s.temporal_order is not None:
-            if temporal is not None and temporal != s.temporal_order:
-                raise SpecificationError("specs declare conflicting temporal orders")
-            temporal = s.temporal_order
-    subject_var = None
-    for s in specs:
-        if s.subject_effect_var is not None:
-            if subject_var is not None and subject_var != s.subject_effect_var:
-                raise SpecificationError(
-                    "specs declare conflicting subject-effect variances"
-                )
-            subject_var = s.subject_effect_var
+    temporal = _shared(
+        [s.temporal_order for s in specs], "specs declare conflicting temporal orders"
+    )
+    subject_var = _shared(
+        [s.subject_effect_var for s in specs],
+        "specs declare conflicting subject-effect variances",
+    )
 
     blocks: list[LatentBlock] = []
     merged: list[MechanismRule] = []
     shifted_rules: list[list[MechanismRule]] = []
     for s in specs:
-        offset = len(blocks)
+
+        def shift(ref: PredictorRef, offset: int = len(blocks)) -> PredictorRef:
+            return replace(ref, index=ref.index + offset) if ref.kind == "block" else ref
+
+        shifted_rules.append([rule.map_refs(shift) for rule in s.rules])
         blocks.extend(s.blocks)
-        rules = []
-        for rule in s.rules:
-            rules.append(_shift_block_refs(rule, offset))
-        shifted_rules.append(rules)
     for j in range(p):
-        clauses: list[Clause] = []
-        scope = None
-        for rules in shifted_rules:
-            rule = rules[j]
-            if rule.subject_scope:
-                if scope is not None and scope != rule.subject_scope:
-                    raise SpecificationError(
-                        f"column {j}: conflicting subject scopes; compose the "
-                        "scoped clauses explicitly instead"
-                    )
-                scope = rule.subject_scope
-            clauses.extend(rule.clauses)
-        merged.append(MechanismRule(j, tuple(clauses), scope))
+        rules = [shifted[j] for shifted in shifted_rules]
+        scope = _shared(
+            [rule.subject_scope or None for rule in rules],
+            f"column {j}: conflicting subject scopes; compose the scoped clauses "
+            "explicitly instead",
+        )
+        merged.append(MechanismRule(j, tuple(c for r in rules for c in r.clauses), scope))
 
     deps: dict[int, set[int]] = {j: set() for j in range(p)}
     for rule in merged:
@@ -872,179 +881,154 @@ def compose(
     )
 
 
-def _shift_block_refs(rule: MechanismRule, offset: int) -> MechanismRule:
-    if offset == 0:
-        return rule
-
-    def shift_ref(ref: PredictorRef) -> PredictorRef:
-        if ref.kind == "block":
-            return replace(ref, index=ref.index + offset)
-        return ref
-
-    def shift_pred(pred: Predicate | None):
-        if pred is None:
-            return None
-        return tuple(replace(c, ref=shift_ref(c.ref)) for c in pred)
-
-    clauses: list[Clause] = []
-    for c in rule.clauses:
-        if isinstance(c, LogisticClause):
-            clauses.append(
-                replace(c, terms=tuple((shift_ref(r), b) for r, b in c.terms))
-            )
-        elif isinstance(c, TableClause):
-            clauses.append(replace(c, parents=tuple(shift_ref(r) for r in c.parents)))
-        elif isinstance(c, ForceClause):
-            clauses.append(replace(c, when=shift_pred(c.when)))
-        else:
-            clauses.append(replace(c, when=shift_pred(c.when)))
-    return MechanismRule(rule.target, tuple(clauses), shift_pred(rule.subject_scope))
-
-
 # ---------------------------------------------------------------------------
 # Spec files: canonical JSON, round-trippable byte for byte.
 # ---------------------------------------------------------------------------
 
 
-def _ref_to_dict(ref: PredictorRef) -> dict:
-    d: dict = {"kind": ref.kind}
-    if ref.index is not None:
-        d["index"] = ref.index
-    if ref.scale != 1.0:
-        d["scale"] = ref.scale
-    if ref.shift != 0.0:
-        d["shift"] = ref.shift
-    return d
+_JSON_KEYS = {"col_names": "columns"}
+_CLAUSE_TYPES = {
+    cls.tag: cls for cls in (LogisticClause, TableClause, ForceClause, LogicalClause)
+}
 
 
-def _ref_from_dict(d: Mapping) -> PredictorRef:
-    return PredictorRef(
-        d["kind"], d.get("index"), float(d.get("scale", 1.0)), float(d.get("shift", 0.0))
-    )
-
-
-def _pred_to_list(pred: Predicate | None):
-    if pred is None:
-        return None
-    return [
-        {"ref": _ref_to_dict(c.ref), "op": c.op, "value": c.value} for c in pred
-    ]
-
-
-def _pred_from_list(items) -> Predicate | None:
-    if items is None:
-        return None
-    return tuple(
-        Comparison(_ref_from_dict(d["ref"]), d["op"], float(d["value"]))
-        for d in items
-    )
-
-
-def _clause_to_dict(c: Clause) -> dict:
-    if isinstance(c, LogisticClause):
-        return {
-            "type": "logistic",
-            "intercept": c.intercept,
-            "terms": [[_ref_to_dict(r), coef] for r, coef in c.terms],
-        }
-    if isinstance(c, TableClause):
-        return {
-            "type": "table",
-            "parents": [_ref_to_dict(r) for r in c.parents],
-            "probs": [[list(k), v] for k, v in c.probs],
-        }
-    if isinstance(c, ForceClause):
-        return {"type": "force", "when": _pred_to_list(c.when), "value": c.value}
-    return {"type": "logical", "when": _pred_to_list(c.when)}
-
-
-def _clause_from_dict(d: Mapping) -> Clause:
-    t = d["type"]
-    if t == "logistic":
-        return LogisticClause(
-            float(d["intercept"]),
-            tuple((_ref_from_dict(r), float(coef)) for r, coef in d["terms"]),
-        )
-    if t == "table":
-        return TableClause(
-            tuple(_ref_from_dict(r) for r in d["parents"]),
-            tuple(sorted((tuple(int(b) for b in k), float(v)) for k, v in d["probs"])),
-        )
-    if t == "force":
-        return ForceClause(_pred_from_list(d["when"]), int(d["value"]))
-    if t == "logical":
-        return LogicalClause(_pred_from_list(d["when"]))
-    raise SpecificationError(f"unknown clause type {t!r}")
+def _to_json(obj):
+    """JSON form of a spec part: dataclass fields under their own names
+    (``col_names`` as ``columns``), tuples as lists, sets sorted. Clauses
+    carry their ``type`` tag; a predictor reference omits default fields."""
+    if isinstance(obj, tuple):
+        return [_to_json(v) for v in obj]
+    if isinstance(obj, frozenset):
+        return sorted(obj)
+    if not is_dataclass(obj):
+        return obj
+    out = {"type": obj.tag} if hasattr(obj, "tag") else {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(obj, PredictorRef) and value == f.default:
+            continue
+        out[_JSON_KEYS.get(f.name, f.name)] = _to_json(value)
+    return out
 
 
 def spec_to_dict(spec: MechanismSpec) -> dict:
-    label = spec.declared_label
-    return {
-        "columns": None if spec.col_names is None else list(spec.col_names),
-        "simulation_order": list(spec.simulation_order),
-        "temporal_order": (
-            None if spec.temporal_order is None else list(spec.temporal_order)
-        ),
-        "subject_effect_var": spec.subject_effect_var,
-        "blocks": [{"prob": b.prob} for b in spec.blocks],
-        "latent_columns": sorted(spec.latent_columns),
-        "declared_label": (
-            None
-            if label is None
-            else {
-                "data_dependence": label.data_dependence,
-                "structure": label.structure,
-                "shape": label.shape,
-                "determinism": label.determinism,
-                "sign": label.sign,
-            }
-        ),
-        "rules": [
-            {
-                "target": r.target,
-                "subject_scope": _pred_to_list(r.subject_scope),
-                "clauses": [_clause_to_dict(c) for c in r.clauses],
-            }
-            for r in spec.rules
-        ],
-    }
+    return _to_json(spec)
+
+
+# Decoding. A reader takes a JSON value and its path in the spec (such as
+# ``rules[0].clauses[1]``) and raises a SpecificationError naming that path
+# when the value is missing or has the wrong type.
+
+
+def _scalar(want: str, types: tuple, convert):
+    def read(v, path: str):
+        if isinstance(v, bool) or not isinstance(v, types):
+            raise SpecificationError(f"{path}: expected {want}, got {type(v).__name__}")
+        return convert(v)
+
+    return read
+
+
+_number = _scalar("a number", (int, float), float)
+_int = _scalar("an integer", (int,), int)
+_text = _scalar("a string", (str,), str)
+
+
+def _integer(v, path: str) -> int:
+    # An integral float such as 1.0 reads as the integer it spells.
+    return _int(int(v) if isinstance(v, float) and v.is_integer() else v, path)
+
+
+def _items(read):
+    def items(v, path: str) -> tuple:
+        if not isinstance(v, list):
+            raise SpecificationError(f"{path}: expected a list, got {type(v).__name__}")
+        return tuple(read(x, f"{path}[{i}]") for i, x in enumerate(v))
+
+    return items
+
+
+def _pair(read_first, read_second):
+    def pair(v, path: str) -> tuple:
+        if not isinstance(v, list) or len(v) != 2:
+            raise SpecificationError(f"{path}: expected a pair [a, b]")
+        return read_first(v[0], f"{path}[0]"), read_second(v[1], f"{path}[1]")
+
+    return pair
+
+
+def _part(cls):
+    return lambda v, path: _decode(cls, v, path)
+
+
+@dataclass(frozen=True)
+class _Tagged:
+    """The ``type`` tag every clause object carries."""
+
+    type: str
+
+
+def _clause(d, path: str) -> Clause:
+    tag = _decode(_Tagged, d, path).type
+    if tag not in _CLAUSE_TYPES:
+        raise SpecificationError(f"{path}: unknown clause type {tag!r}")
+    return _decode(_CLAUSE_TYPES[tag], d, path)
+
+
+_ref = _part(PredictorRef)
+_predicate = _items(_part(Comparison))
+_READERS = {
+    _Tagged: dict(type=_text),
+    PredictorRef: dict(kind=_text, index=_integer, scale=_number, shift=_number),
+    Comparison: dict(ref=_ref, op=_text, value=_number),
+    LogisticClause: dict(intercept=_number, terms=_items(_pair(_ref, _number))),
+    TableClause: dict(
+        parents=_items(_ref), probs=_items(_pair(_items(_integer), _number))
+    ),
+    ForceClause: dict(when=_predicate, value=_integer),
+    LogicalClause: dict(when=_predicate),
+    MechanismRule: dict(target=_integer, clauses=_items(_clause),
+                        subject_scope=_predicate),
+    LatentBlock: dict(prob=_number),
+    TaxonomyLabel: dict(data_dependence=_text, structure=_text, shape=_text,
+                        determinism=_text, sign=_text),
+    MechanismSpec: dict(
+        rules=_items(_part(MechanismRule)),
+        simulation_order=_items(_integer),
+        subject_effect_var=_number,
+        blocks=_items(_part(LatentBlock)),
+        latent_columns=_items(_integer),
+        temporal_order=_items(_integer),
+        declared_label=_part(TaxonomyLabel),
+        col_names=_items(_text),
+    ),
+}
+# Fields a spec file may leave out; they take their dataclass default, as
+# does null where that default is None.
+_OPTIONAL = {
+    "index", "scale", "shift", "subject_scope", "sign", "subject_effect_var",
+    "blocks", "latent_columns", "temporal_order", "declared_label", "col_names",
+}
+
+
+def _decode(cls, d, path: str):
+    """An instance of the spec part ``cls`` from its JSON object ``d``."""
+    where = path or "spec"
+    if not isinstance(d, dict):
+        raise SpecificationError(f"{where}: expected an object, got {type(d).__name__}")
+    kwargs = {}
+    for f in fields(cls):
+        key = _JSON_KEYS.get(f.name, f.name)
+        if key not in d or (d[key] is None and f.default is None):
+            if f.name not in _OPTIONAL:
+                raise SpecificationError(f"{where}: missing field {key!r}")
+            continue
+        kwargs[f.name] = _READERS[cls][f.name](d[key], f"{path}.{key}" if path else key)
+    return cls(**kwargs)
 
 
 def spec_from_dict(d: Mapping) -> MechanismSpec:
-    label = d.get("declared_label")
-    return MechanismSpec(
-        rules=tuple(
-            MechanismRule(
-                int(r["target"]),
-                tuple(_clause_from_dict(c) for c in r["clauses"]),
-                _pred_from_list(r.get("subject_scope")),
-            )
-            for r in d["rules"]
-        ),
-        simulation_order=tuple(d["simulation_order"]),
-        subject_effect_var=(
-            None
-            if d.get("subject_effect_var") is None
-            else float(d["subject_effect_var"])
-        ),
-        blocks=tuple(LatentBlock(float(b["prob"])) for b in d.get("blocks", [])),
-        latent_columns=frozenset(d.get("latent_columns", [])),
-        temporal_order=(
-            None if d.get("temporal_order") is None else tuple(d["temporal_order"])
-        ),
-        declared_label=(
-            None
-            if label is None
-            else TaxonomyLabel(
-                label["data_dependence"],
-                label["structure"],
-                label["shape"],
-                label["determinism"],
-                label.get("sign"),
-            )
-        ),
-        col_names=tuple(d["columns"]) if d.get("columns") else None,
-    )
+    return _decode(MechanismSpec, d, "")
 
 
 def dumps_spec(spec: MechanismSpec) -> str:
@@ -1059,7 +1043,7 @@ def save_spec(spec: MechanismSpec, path: str | Path) -> None:
 def loads_spec(text: str) -> MechanismSpec:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecificationError(f"spec file is not valid JSON: {exc}") from None
     return spec_from_dict(payload)
 

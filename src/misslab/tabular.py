@@ -9,9 +9,9 @@ stale value by accident; use the observed-cell accessors or an imputed copy.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,15 +81,12 @@ class MissMask:
 class DataMatrix:
     """An n-by-p real matrix with a missingness mask.
 
-    Missing cells hold NaN internally. ``ordering``, when present, declares
-    the temporal order of the columns (a permutation of 0..p-1); it defaults
-    to storage order wherever an order is needed.
+    Missing cells hold NaN internally.
     """
 
     values: np.ndarray
     missing: MissMask
     col_names: tuple[str, ...]
-    ordering: tuple[int, ...] | None = None
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
@@ -108,30 +105,17 @@ class DataMatrix:
             raise ValueError("observed cells must hold finite-representable values")
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "col_names", tuple(self.col_names))
-        if self.ordering is not None:
-            ordering = tuple(int(j) for j in self.ordering)
-            if sorted(ordering) != list(range(values.shape[1])):
-                raise ValueError("ordering must be a permutation of 0..p-1")
-            object.__setattr__(self, "ordering", ordering)
 
     @classmethod
     def complete(
-        cls,
-        values: np.ndarray,
-        col_names: Sequence[str] | None = None,
-        ordering: Sequence[int] | None = None,
+        cls, values: np.ndarray, col_names: Sequence[str] | None = None
     ) -> "DataMatrix":
         """Wrap a fully observed matrix."""
         values = np.asarray(values, dtype=float)
         if col_names is None:
             col_names = default_names(values.shape[1])
         mask = MissMask(np.zeros(values.shape, dtype=np.uint8))
-        return cls(values, mask, tuple(col_names),
-                   None if ordering is None else tuple(ordering))
-
-    def with_mask(self, mask: MissMask) -> "DataMatrix":
-        """Return a copy of this matrix with ``mask`` imposed."""
-        return DataMatrix(self.values.copy(), mask, self.col_names, self.ordering)
+        return cls(values, mask, tuple(col_names))
 
     @property
     def n(self) -> int:
@@ -151,9 +135,6 @@ class DataMatrix:
     def masked_values(self) -> np.ndarray:
         """Writable copy of the value matrix, NaN at missing cells."""
         return self.values.copy()
-
-    def effective_ordering(self) -> tuple[int, ...]:
-        return self.ordering if self.ordering is not None else tuple(range(self.p))
 
 
 @dataclass(frozen=True)

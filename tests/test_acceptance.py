@@ -224,7 +224,8 @@ def test_criterion_7_pooling_algebra():
         pes = [
             pool([e, e + rng.normal()], [1.0, 1.0]) for e in ests
         ]
-        rec = replicate_metrics(pes, truth=float(rng.normal()))
+        rec = replicate_metrics([p.estimate for p in pes], [p.ci_low for p in pes],
+                                [p.ci_high for p in pes], truth=float(rng.normal()))
         gap = abs(rec.mse - (rec.bias_sq + rec.variance))
         rel = gap / max(1.0, abs(rec.mse))
         worst = max(worst, rel)

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import misslab
 from misslab.cli import dispatch
 from misslab.fixtures import sim3_spec
 from misslab.mechanisms import save_spec
@@ -60,12 +67,68 @@ class TestSimulate:
         assert "--spec" in capsys.readouterr().err
 
 
+def _drop(*path):
+    def edit(spec):
+        node = spec
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        return spec
+
+    return edit
+
+
+def _put(value, *path):
+    def edit(spec):
+        node = spec
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return spec
+
+    return edit
+
+
 class TestClassify:
     def test_prints_label(self, spec_file, capsys):
         assert run(["classify", "--spec", spec_file]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["label"] == "MNAR-WS"
         assert payload["matches_declared"] is True
+
+    @pytest.mark.parametrize("edit, message", [
+        (_drop("rules"), "spec: missing field 'rules'"),
+        (_drop("rules", 0, "clauses"), "rules[0]: missing field 'clauses'"),
+        (lambda spec: [spec], "spec: expected an object, got list"),
+        (_put("zzz", "rules", 2, "clauses", 0, "type"),
+         "rules[2].clauses[0]: unknown clause type 'zzz'"),
+        (_put(None, "rules", 0, "target"), "rules[0].target: expected an integer"),
+        (_put("1", "rules", 2, "clauses", 0, "parents", 0, "index"),
+         "rules[2].clauses[0].parents[0].index: expected an integer, got str"),
+        (_put([1], "rules", 2, "clauses", 0, "probs", 0),
+         "rules[2].clauses[0].probs[0]: expected a pair"),
+        (_put(None, "blocks"), "blocks: expected a list"),
+        (_put({}, "declared_label"), "declared_label: missing field 'data_dependence'"),
+    ])
+    def test_malformed_spec_exits_one_naming_the_field(self, tmp_path, spec_file,
+                                                       capsys, edit, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edit(json.loads(spec_file.read_text()))))
+        assert run(["classify", "--spec", path]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_deeply_nested_spec_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert run(["classify", "--spec", path]) == 1
+        assert "not valid JSON" in capsys.readouterr().err
+
+    @given(st.binary(max_size=300))
+    @settings(max_examples=300, deadline=None)
+    def test_random_spec_bytes_never_exit_two(self, tmp_path_factory, content):
+        path = tmp_path_factory.mktemp("spec") / "spec.json"
+        path.write_bytes(content)
+        assert run(["classify", "--spec", path]) in (0, 1)
 
 
 class TestAnalyze:
@@ -204,6 +267,39 @@ class TestExperimentVerb:
         assert "m must be >= 2" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ({"n": "abc"}, "n: expected int, got 'abc'"),
+        ({"q_grid": 0.5}, "q_grid: expected a list, got 0.5"),
+        ({"rho_list": [0.4, "a"]}, "rho_list: expected float, got 'a'"),
+        ({"n_replicates": 1.5}, "n_replicates: expected int, got 1.5"),
+        ({"structures": "mcar_u_1"}, "structures: expected a list, got 'mcar_u_1'"),
+    ])
+    def test_ill_typed_config_field_exits_one(self, tmp_path, capsys, override,
+                                              message):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(override))
+        code = run(["experiment", "--id", "sim2", "--seed", 1,
+                    "--config", config, "--out", tmp_path / "o"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_integer_spelling_writes_float_bytes(self, tmp_path):
+        for name, grid in (("ints", [0, 0.5, 1]), ("floats", [0.0, 0.5, 1.0])):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(
+                {"n": 100, "m": 2, "q_grid": grid, "maxit_list": [1]}
+            ))
+            assert run(["experiment", "--id", "sim2", "--reps", 1, "--seed", 3,
+                        "--config", config, "--out", tmp_path / name]) == 0
+        for f in ("sim2_results.csv", "sim2_summary.csv", "manifest.txt"):
+            assert (tmp_path / "ints" / f).read_bytes() == (
+                tmp_path / "floats" / f
+            ).read_bytes()
+        q_column = [line.split(",")[0] for line in
+                    (tmp_path / "ints" / "sim2_results.csv").read_text().splitlines()]
+        assert q_column[1:] == ["0.0", "0.5", "1.0"]
+
     def test_flags_override_config(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(
@@ -242,18 +338,23 @@ class TestDispatchErrors:
         assert (data_file.read_bytes(), spec_file.read_bytes()) == before
 
 
-def test_cli_import_skips_scipy_stats():
-    # scipy.stats takes about a second to import; verbs that need no
-    # statistics must not pay for it.
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import misslab
-
+def _subprocess_env() -> dict:
+    """The environment with this checkout's ``src`` on PYTHONPATH."""
     src = str(Path(misslab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats takes about a second to import; verbs that need no
+    # statistics must not pay for it.
     code = "import misslab.cli, sys; assert 'scipy.stats' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    subprocess.run([sys.executable, "-c", code], check=True, env=_subprocess_env())
+
+
+def test_module_entry_point_runs():
+    out = subprocess.run([sys.executable, "-m", "misslab.cli", "--version"],
+                         capture_output=True, text=True, check=True,
+                         env=_subprocess_env())
+    assert out.stdout == f"misslab {misslab.__version__}\n"

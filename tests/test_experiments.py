@@ -46,6 +46,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^m must be a positive integer"):
             ExperimentConfig("sim1", m=0).validate()
 
+    def test_float_fields_stored_as_floats(self):
+        cfg = ExperimentConfig("sim1", rho_list=[0, 0.4], missing_rate=0,
+                               q_grid=[0, 1], maxit_list=[2])
+        assert cfg.rho_list == (0.0, 0.4) and cfg.q_grid == (0.0, 1.0)
+        assert all(type(v) is float for v in (*cfg.rho_list, *cfg.q_grid,
+                                               cfg.missing_rate))
+        assert cfg.maxit_list == (2,)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", "abc"), ("n", True), ("seed", 1.0), ("q_grid", 0.5),
+        ("maxit_list", [1.5]), ("structures", "mcar_u_1"), ("missing_rate", None),
+    ])
+    def test_ill_typed_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: expected"):
+            ExperimentConfig("sim2", **{field: value})
+
     def test_default_grids(self):
         assert ExperimentConfig("sim2").effective_q_grid() == tuple(
             round(0.1 * i, 1) for i in range(11)

@@ -6,9 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from misslab.inference import (
-    MetricsRecord,
-    PooledEstimate,
-    metrics_csv_rows,
     ols_fit,
     pool,
     predict_mse,
@@ -79,20 +76,21 @@ class TestPool:
         assert (loose.ci_high - loose.ci_low) > (tight.ci_high - tight.ci_low)
 
 
-def _pe(estimate, half):
-    return PooledEstimate(estimate, 0.0, 0.0, 0.0, 1.0,
-                          estimate - half, estimate + half, 0.95, 2)
+def _intervals(estimates, half):
+    """Estimates with symmetric intervals of half-width ``half``."""
+    q = np.asarray(estimates, dtype=float)
+    return q, q - half, q + half
 
 
 class TestReplicateMetrics:
     def test_single_exact_replicate(self):
-        rec = replicate_metrics([_pe(3.0, 1.0)], truth=3.0)
+        rec = replicate_metrics(*_intervals([3.0], 1.0), truth=3.0)
         assert rec.bias == 0.0
         assert rec.coverage == 1.0
         assert rec.mse == 0.0
 
     def test_symmetric_estimates_have_zero_bias(self):
-        rec = replicate_metrics([_pe(2.0, 0.1), _pe(4.0, 0.1)], truth=3.0)
+        rec = replicate_metrics(*_intervals([2.0, 4.0], 0.1), truth=3.0)
         assert abs(rec.bias) < 1e-12
         assert rec.mse == pytest.approx(rec.variance)
 
@@ -100,7 +98,7 @@ class TestReplicateMetrics:
            st.floats(-100, 100))
     @settings(max_examples=100, deadline=None)
     def test_mse_decomposition_identity(self, estimates, truth):
-        rec = replicate_metrics([_pe(e, 1.0) for e in estimates], truth)
+        rec = replicate_metrics(*_intervals(estimates, 1.0), truth)
         scale = max(1.0, abs(rec.mse))
         assert abs(rec.mse - (rec.bias_sq + rec.variance)) < 1e-10 * scale
 
@@ -125,12 +123,14 @@ class TestReplicateMetrics:
             ests = [float(c[:, 0].mean()) for c in res.completed]
             variances = [float(c[:, 0].var(ddof=1) / n) for c in res.completed]
             pooled.append(pool(ests, variances))
-        rec = replicate_metrics(pooled, truth=0.0)
+        rec = replicate_metrics([p.estimate for p in pooled],
+                                [p.ci_low for p in pooled],
+                                [p.ci_high for p in pooled], truth=0.0)
         assert 0.93 <= rec.coverage <= 0.97
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one replicate"):
-            replicate_metrics([], truth=0.0)
+            replicate_metrics([], [], [], truth=0.0)
 
 
 class TestPredictMse:
@@ -177,10 +177,3 @@ class TestOlsFit:
         fit = ols_fit(y, np.column_stack([np.ones(5000), x]))
         assert np.allclose(fit.coef, [1.0, 2.0, -1.0, 0.5], atol=0.02)
         assert fit.cov.shape == (4, 4)
-
-    def test_metrics_csv_rows(self):
-        rec = MetricsRecord("beta", 2.0, 2.1, 0.1, 0.95, 0.02, 0.01, 0.01, 100)
-        rows = metrics_csv_rows([("scenario-a", rec)])
-        assert rows[0][0] == "scenario"
-        assert rows[1][0] == "scenario-a"
-        assert rows[1][-1] == "100"

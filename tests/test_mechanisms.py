@@ -1,8 +1,12 @@
 import dataclasses
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misslab.fixtures import (
     canonical_taxonomy_specs,
@@ -13,6 +17,7 @@ from misslab.fixtures import (
     sim3_spec,
     subject_effect_variant,
 )
+from misslab.builtins import BUILTIN_NAMES, builtin_structures
 from misslab.graphs import export_dot
 from misslab.mechanisms import (
     Comparison,
@@ -208,27 +213,10 @@ def _permute_columns(spec: MechanismSpec, perm):
             return dataclasses.replace(ref, index=perm[ref.index])
         return ref
 
-    def fix_pred(pred):
-        if pred is None:
-            return None
-        return tuple(dataclasses.replace(c, ref=fix_ref(c.ref)) for c in pred)
-
-    rules = []
-    for rule in spec.rules:
-        clauses = []
-        for c in rule.clauses:
-            if isinstance(c, LogisticClause):
-                clauses.append(dataclasses.replace(
-                    c, terms=tuple((fix_ref(r), b) for r, b in c.terms)))
-            elif isinstance(c, TableClause):
-                clauses.append(dataclasses.replace(
-                    c, parents=tuple(fix_ref(r) for r in c.parents)))
-            elif isinstance(c, ForceClause):
-                clauses.append(dataclasses.replace(c, when=fix_pred(c.when)))
-            else:
-                clauses.append(dataclasses.replace(c, when=fix_pred(c.when)))
-        rules.append(MechanismRule(perm[rule.target], tuple(clauses),
-                                   fix_pred(rule.subject_scope)))
+    rules = [
+        dataclasses.replace(rule.map_refs(fix_ref), target=perm[rule.target])
+        for rule in spec.rules
+    ]
     order = [0] * spec.p
     for pos, j in enumerate(spec.simulation_order):
         order[pos] = perm[j]
@@ -313,10 +301,20 @@ class TestCompose:
         assert sorted(r.index for r in refs) == [0, 1]
 
 
+def every_fixture_spec() -> list[MechanismSpec]:
+    """Every builtin (at two sizes) and every fixture spec."""
+    specs = [builtin_structures(name, p) for name in BUILTIN_NAMES for p in (2, 10)]
+    specs += [sim2_spec(q) for q in (0.0, 0.3, 1.0)]
+    specs += [sim3_spec(q) for q in (0.0, 0.25, 0.5, 1.0)]
+    specs += list(canonical_taxonomy_specs().values())
+    specs += [subject_effect_variant(), psa_logical_spec(), psa_screening_spec(),
+              genomic_testing_spec()]
+    return specs
+
+
 class TestSpecFiles:
     def test_round_trip_bit_exact(self, tmp_path):
-        for spec in (sim3_spec(0.25), psa_logical_spec(), subject_effect_variant(),
-                     canonical_taxonomy_specs()["MCAR-WS"]):
+        for spec in every_fixture_spec():
             text = dumps_spec(spec)
             again = dumps_spec(loads_spec(text))
             assert text == again
@@ -379,3 +377,156 @@ class TestValidation:
                 MechanismRule(0, (TableClause.from_dict(
                     (PredictorRef("block", 0),), {(0,): 0.0, (1,): 1.0}),)),
             ))
+
+
+# ---------------------------------------------------------------------------
+# Properties over random valid specs
+# ---------------------------------------------------------------------------
+
+_num = st.floats(-2.0, 2.0, allow_nan=False).map(lambda v: round(v, 3))
+_threshold = st.sampled_from([-0.5, 0.0, 0.5, 1.0])
+_OPS = ["<", "<=", ">", ">=", "==", "!="]
+
+
+@st.composite
+def specs(draw):
+    """A random valid MechanismSpec using every clause type and ref kind."""
+    p = draw(st.integers(1, 4))
+    n_blocks = draw(st.integers(0, 2))
+    subject = draw(st.booleans())
+    order = tuple(draw(st.permutations(range(p))))
+    affine = st.just((1.0, 0.0)) | st.tuples(_num, _num)
+
+    def ref(kinds, earlier):
+        options = []
+        if "data" in kinds:
+            options.append(st.builds(lambda j, a: PredictorRef("data", j, *a),
+                                     st.integers(0, p - 1), affine))
+        if "mask" in kinds and earlier:
+            options.append(st.sampled_from(earlier).map(mask_col))
+        if "block" in kinds and n_blocks:
+            options.append(st.integers(0, n_blocks - 1).map(
+                lambda b: PredictorRef("block", b)))
+        if "subject" in kinds and subject:
+            options.append(affine.map(lambda a: PredictorRef("subject", None, *a)))
+        if "constant" in kinds:
+            options.append(affine.map(lambda a: PredictorRef("constant", None, *a)))
+        return draw(st.one_of(options))
+
+    def predicate(kinds, earlier):
+        return tuple(
+            Comparison(ref(kinds, earlier), draw(st.sampled_from(_OPS)), draw(_threshold))
+            for _ in range(draw(st.integers(1, 2)))
+        )
+
+    any_kind = ("data", "mask", "block", "subject", "constant")
+    rules = []
+    for pos, j in enumerate(order):
+        earlier = list(order[:pos])
+        clauses = []
+        for kind in draw(st.lists(st.sampled_from(["logistic", "table", "force",
+                                                   "logical"]), max_size=3)):
+            if kind == "logistic":
+                terms = tuple((ref(any_kind, earlier), draw(_num | st.just(0.0)))
+                              for _ in range(draw(st.integers(0, 2))))
+                clauses.append(LogisticClause(draw(_num), terms))
+            elif kind == "table":
+                can_parent = bool(earlier) or n_blocks > 0
+                parents = tuple(ref(("mask", "block"), earlier)
+                                for _ in range(draw(st.integers(0, 2 if can_parent else 0))))
+                probs = {
+                    key: draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+                    for key in itertools.product((0, 1), repeat=len(parents))
+                }
+                clauses.append(TableClause.from_dict(parents, probs))
+            elif kind == "force":
+                clauses.append(ForceClause(predicate(any_kind, earlier),
+                                           draw(st.integers(0, 1))))
+            else:
+                clauses.append(LogicalClause(predicate(("data",), earlier)))
+        scope = predicate(any_kind, earlier) if draw(st.booleans()) else None
+        rules.append(MechanismRule(j, tuple(clauses), scope))
+    return MechanismSpec(
+        rules=tuple(rules),
+        simulation_order=order,
+        subject_effect_var=draw(st.floats(0.0, 2.0)) if subject else None,
+        blocks=tuple(LatentBlock(draw(st.floats(0.0, 1.0))) for _ in range(n_blocks)),
+        latent_columns=frozenset(draw(st.lists(st.integers(0, p - 1), max_size=2))),
+        temporal_order=tuple(draw(st.permutations(range(p)))) if draw(st.booleans()) else None,
+        col_names=tuple(f"c{j}" for j in range(p)) if draw(st.booleans()) else None,
+    )
+
+
+def _json_paths(obj, path=()):
+    yield path
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+class TestSpecProperties:
+    @given(specs())
+    @settings(max_examples=200, deadline=None)
+    def test_json_round_trip_is_byte_stable(self, spec):
+        text = dumps_spec(spec)
+        assert dumps_spec(loads_spec(text)) == text
+        assert loads_spec(text) == spec
+
+    @given(specs())
+    @settings(max_examples=200, deadline=None)
+    def test_classify_is_total(self, spec):
+        label = classify(spec)
+        assert isinstance(label, TaxonomyLabel)
+        assert classify(loads_spec(dumps_spec(spec))) == label
+        assert export_dot(spec).endswith("}\n")
+
+    @given(specs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_simulate_mask_precedence(self, spec, seed):
+        # logical > force-to-1 > force-to-0 > probability, replaying the
+        # documented draw order: subject effects, block indicators, then one
+        # uniform per cell column by column along simulation_order.
+        n = 40
+        x = np.random.default_rng(seed).integers(-1, 3, size=(n, spec.p)) / 2
+        mask = simulate_mask(spec, x, seed)
+        rng = np.random.default_rng(seed)
+        subj = (rng.normal(0.0, np.sqrt(spec.subject_effect_var), size=n)
+                if spec.subject_effect_var is not None else np.zeros(n))
+        blocks = [(rng.random(n) < blk.prob).astype(np.uint8) for blk in spec.blocks]
+        ctx = _EvalContext(x, mask.bits, blocks, subj)
+        for j in spec.simulation_order:
+            u = rng.random(n)
+            prob, force1, force0, logic = rule_probabilities(spec.rules[j], ctx)
+            want = np.where(logic | force1, 1, np.where(force0, 0, u < prob))
+            assert np.array_equal(mask.bits[:, j], want)
+            assert np.array_equal(mask.logical_bits()[:, j], logic)
+
+    @given(specs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_spec_json_never_exits_two(self, tmp_path_factory, spec, data):
+        # Replace one node of a valid spec's JSON by random JSON, or delete
+        # one object key: classify accepts it or exits 1 with a message.
+        from misslab.cli import dispatch
+
+        obj = json.loads(dumps_spec(spec))
+        path = data.draw(st.sampled_from(list(_json_paths(obj))))
+        if not path:
+            obj = data.draw(_json_values)
+        else:
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            if isinstance(parent, dict) and data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(_json_values)
+        spec_file = tmp_path_factory.mktemp("spec") / "spec.json"
+        spec_file.write_text(json.dumps(obj))
+        assert dispatch(["classify", "--spec", str(spec_file)]) in (0, 1)

@@ -176,11 +176,6 @@ class TestInvariants:
             DataMatrix(np.zeros((2, 2)), MissMask(np.zeros((2, 3), dtype=np.uint8)),
                        ("a", "b"))
 
-    def test_ordering_must_be_permutation(self):
-        with pytest.raises(ValueError, match="permutation"):
-            DataMatrix(np.zeros((1, 2)), MissMask([[0, 0]]), ("a", "b"),
-                       ordering=(0, 0))
-
     def test_logical_must_be_subset(self):
         with pytest.raises(ValueError, match="subset"):
             MissMask([[0, 1]], logical=[[1, 0]])
