@@ -36,7 +36,7 @@ from .mechanisms import (
     simulate_mask,
 )
 from .builtins import BUILTIN_NAMES, builtin_structures
-from .graphs import export_dot, save_dot
+from .graphs import export_dot
 from .analyzer import (
     DependenceReport,
     mcar_structure_audit,
@@ -90,7 +90,6 @@ __all__ = [
     "BUILTIN_NAMES",
     "builtin_structures",
     "export_dot",
-    "save_dot",
     "DependenceReport",
     "mcar_structure_audit",
     "pairwise_dependence",

@@ -34,6 +34,10 @@ VERDICT_STRUCTURED = "structured-indicators"
 VERDICT_DATA = "data-dependent"
 
 
+# Header of the report CSV: one column per PairStat field, in field order.
+REPORT_COLUMNS = ("col_j", "col_k", "odds_ratio", "chi2", "p_value", "sign", "flag")
+
+
 @dataclass(frozen=True)
 class PairStat:
     """Association summary for one pair of mask columns."""
@@ -99,6 +103,8 @@ def pairwise_dependence(m: MissMask, alpha: float = ALPHA_DEFAULT) -> Dependence
     corrected (+0.5 everywhere) table. The sign is the direction of the
     odds ratio when the pair is significant at ``alpha``.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     from scipy import stats
 
     bits = m.bits
@@ -307,31 +313,6 @@ def mcar_structure_audit(x: DataMatrix, alpha: float = ALPHA_DEFAULT) -> AuditRe
         evidence.append("no indicator pair or indicator-data association "
                         "survived the Bonferroni threshold")
     return AuditReport(report, tuple(data_rows), verdict, tuple(evidence), alpha)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def report_csv_rows(report: DependenceReport) -> list[list[str]]:
-    """Rows for the (pair, or, chi2, p, sign, flag) CSV."""
-    from .tabular import format_value
-
-    rows = [["col_j", "col_k", "odds_ratio", "chi2", "p_value", "sign", "flag"]]
-    for ps in report.pairs:
-        rows.append(
-            [
-                str(ps.j),
-                str(ps.k),
-                "" if np.isnan(ps.odds_ratio) else format_value(ps.odds_ratio),
-                "" if np.isnan(ps.chi2) else format_value(ps.chi2),
-                "" if np.isnan(ps.p_value) else format_value(ps.p_value),
-                ps.sign,
-                ps.flag,
-            ]
-        )
-    return rows
 
 
 def summary_text(report: DependenceReport) -> str:

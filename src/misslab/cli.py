@@ -16,16 +16,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .analyzer import pairwise_dependence, report_csv_rows, sequential_signature, summary_text
+from .analyzer import REPORT_COLUMNS, pairwise_dependence, sequential_signature, summary_text
 from .experiments import EXPERIMENT_IDS, ExperimentConfig, run_experiment
 from .graphs import export_dot
-from .impute import ImputationConfig, chain_diagnostics, diagnostics_csv_rows, fcs_impute
+from .impute import ImputationConfig, chain_diagnostics, fcs_impute
 from .mechanisms import SpecificationError, classify, load_spec, simulate_mask
 from .tabular import (
     DataMatrix,
@@ -35,6 +35,7 @@ from .tabular import (
     read_ordering,
     write_csv,
     write_mask_csv,
+    write_table,
 )
 
 EXIT_OK = 0
@@ -152,12 +153,9 @@ def _cmd_analyze(args) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        import csv as _csv
-
         prefix = Path(args.out)
         prefix.parent.mkdir(parents=True, exist_ok=True)
-        with open(f"{prefix}.report.csv", "w", newline="") as fh:
-            _csv.writer(fh, lineterminator="\n").writerows(report_csv_rows(report))
+        write_table(f"{prefix}.report.csv", REPORT_COLUMNS, map(astuple, report.pairs))
         Path(f"{prefix}.summary.txt").write_text(text)
     return EXIT_OK
 
@@ -169,9 +167,12 @@ def _read_ignore(path: Path, n: int) -> tuple[bool, ...]:
             f"--ignore: expected {n} rows of 0/1, found {len(tokens)}"
         )
     try:
-        return tuple(bool(int(t)) for t in tokens)
+        flags = tuple(int(t) for t in tokens)
+        if not set(flags) <= {0, 1}:
+            raise ValueError
     except ValueError:
         raise _UsageError("--ignore: entries must be 0 or 1") from None
+    return tuple(f == 1 for f in flags)
 
 
 def _cmd_impute(args) -> int:
@@ -210,10 +211,7 @@ def _cmd_impute(args) -> int:
         outputs.append(f"<prefix>{suffix}")
     diag = chain_diagnostics(result)
     suffix = ".diagnostics.csv"
-    import csv as _csv
-
-    with open(f"{prefix}{suffix}", "w", newline="") as fh:
-        _csv.writer(fh, lineterminator="\n").writerows(diagnostics_csv_rows(diag))
+    write_table(f"{prefix}{suffix}", diag.columns, diag.rows)
     outputs.append(f"<prefix>{suffix}")
     manifest = [
         "command: impute",

@@ -19,12 +19,10 @@ rows are emitted in a deterministic order.
 
 from __future__ import annotations
 
-import csv
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +33,7 @@ from .fixtures import sim2_label, sim2_spec, sim3_label, sim3_spec
 from .impute import ImputationConfig, fcs_impute
 from .inference import ols_fit, pool, predict_mse, replicate_metrics
 from .mechanisms import MechanismSpec, SpecificationError, classify, simulate_mask
-from .tabular import DataMatrix, MissMask, format_value
+from .tabular import DataMatrix, MissMask, format_cell, write_table
 
 EXPERIMENT_IDS = ("sim1", "sim2", "sim3")
 
@@ -93,14 +91,13 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"choose one of {', '.join(EXPERIMENT_IDS)}"
             )
-        if self.n_replicates < 1:
-            raise ValueError("n_replicates must be positive")
+        for name in ("n_replicates", "threads", "m", "n_train", "n_test", "n"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be a positive integer")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
+        if self.p < 2:
+            raise ValueError("p must be >= 2")
         if self.experiment in ("sim2", "sim3") and self.m < 2:
             raise ValueError(
                 f"m must be >= 2 for {self.experiment}: pooling needs at least "
@@ -533,31 +530,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     return output
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, float):
-        return format_value(v)
-    return str(v)
-
-
-def _write_rows(path: Path, columns: Sequence[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(columns)
-        for r in rows:
-            w.writerow(_format_cell(r[c]) for c in columns)
-
-
 def write_outputs(cfg: ExperimentConfig, output: ExperimentOutput) -> list[Path]:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    results_path = out_dir / f"{cfg.experiment}_results.csv"
-    _write_rows(results_path, output.result_columns, output.results)
-    paths.append(results_path)
+    tables = [("results", output.result_columns, output.results)]
     if output.summary:
-        summary_path = out_dir / f"{cfg.experiment}_summary.csv"
-        _write_rows(summary_path, output.summary_columns, output.summary)
-        paths.append(summary_path)
+        tables.append(("summary", output.summary_columns, output.summary))
+    for kind, columns, rows in tables:
+        path = out_dir / f"{cfg.experiment}_{kind}.csv"
+        write_table(path, columns, ([r[c] for c in columns] for r in rows))
+        paths.append(path)
     manifest_path = out_dir / "manifest.txt"
     manifest_path.write_text(output.manifest)
     paths.append(manifest_path)
@@ -573,8 +556,8 @@ def _manifest(cfg: ExperimentConfig, notes: tuple[str, ...]) -> str:
     for name in _MANIFEST_FIELDS[cfg.experiment]:
         value = cfg.effective_q_grid() if name == "q_grid" else getattr(cfg, name)
         if isinstance(value, tuple):
-            value = ", ".join(_format_cell(v) for v in value)
-        lines.append(f"  {name}: {_format_cell(value)}")
+            value = ", ".join(format_cell(v) for v in value)
+        lines.append(f"  {name}: {format_cell(value)}")
     if notes:
         lines.append("notes:")
         lines.extend(f"  - {note}" for note in notes)

@@ -8,8 +8,6 @@ determinism: dashed for probabilistic influence, solid for deterministic.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .mechanisms import MechanismSpec, spec_dependencies
 
 _NODE_ATTRS = {
@@ -61,7 +59,3 @@ def export_dot(spec: MechanismSpec) -> str:
         lines.append(f"  {_quote(src)} -> {_quote(dst)} [style={style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def save_dot(spec: MechanismSpec, path: str | Path) -> None:
-    Path(path).write_text(export_dot(spec))

@@ -20,9 +20,9 @@ irrelevant to the output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
-from scipy import linalg as sla
 
 from .tabular import DataMatrix
 
@@ -58,39 +58,29 @@ class ImputationConfig:
     """Settings for :func:`fcs_impute`.
 
     ``ignore`` is a per-row boolean mask of rows excluded from model
-    fitting but still imputed. ``method`` may be one name for all columns
-    or one per column.
+    fitting but still imputed. ``method`` is one of :data:`METHODS`, used
+    for every column.
     """
 
     m: int = 5
     maxit: int = 5
-    method: str | tuple[str, ...] = "pmm"
+    method: str = "pmm"
     donors: int = 5
     ridge: float = DEFAULT_RIDGE
     ignore: tuple[bool, ...] | None = None
     seed: int | np.random.SeedSequence | None = None
 
-    def methods_for(self, p: int) -> tuple[str, ...]:
-        if isinstance(self.method, str):
-            methods = (self.method,) * p
-        else:
-            methods = tuple(self.method)
-            if len(methods) != p:
-                raise ValueError("need one method per column")
-        for meth in methods:
-            if meth not in METHODS:
-                raise ValueError(f"unknown method {meth!r}; choose from {METHODS}")
-        return methods
-
     def validate(self, n: int) -> None:
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.m < 1:
             raise ValueError("m must be a positive integer")
         if self.maxit < 1:
             raise ValueError("maxit must be a positive integer")
         if self.donors < 1:
             raise ValueError("donors must be >= 1")
-        if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
+        if not (np.isfinite(self.ridge) and self.ridge >= 0):
+            raise ValueError(f"ridge must be a finite number >= 0, got {self.ridge}")
         if self.ignore is not None and len(self.ignore) != n:
             raise ValueError("ignore mask length must equal the row count")
 
@@ -112,6 +102,8 @@ def _bayes_regression(y_obs, x_obs, ridge, rng):
     draws the residual variance from its scaled inverse chi-square
     conditional and the coefficients from their normal conditional.
     """
+    from scipy import linalg as sla  # slow to import; only imputation needs it
+
     y_obs = np.asarray(y_obs, float)
     x_obs = np.asarray(x_obs, float)
     n, k = x_obs.shape
@@ -318,7 +310,6 @@ def fcs_impute(x: DataMatrix, cfg: ImputationConfig) -> ImputationResult:
     logical = x.missing.logical_bits()
     n, p = bits.shape
     cfg.validate(n)
-    methods = cfg.methods_for(p)
     ignore = (
         np.zeros(n, dtype=bool)
         if cfg.ignore is None
@@ -379,7 +370,7 @@ def fcs_impute(x: DataMatrix, cfg: ImputationConfig) -> ImputationResult:
                 y_obs = work[rows, j]
                 x_obs = design[rows]
                 x_mis = design[imputable[:, j]]
-                if methods[j] == "norm":
+                if cfg.method == "norm":
                     draw = fit_norm_draw(y_obs, x_obs, x_mis, cfg.ridge, rng)
                 else:
                     # Sparse columns can have fewer observed rows than the
@@ -418,6 +409,8 @@ def fcs_impute(x: DataMatrix, cfg: ImputationConfig) -> ImputationResult:
 class ChainDiagnostics:
     """Long-format imputation traces plus a between-chain spread."""
 
+    # Header of the diagnostics CSV: one name per field of a row.
+    columns: ClassVar[tuple[str, ...]] = ("chain", "iteration", "column", "mean", "sd")
     rows: tuple[tuple[int, int, str, float, float], ...]
     between_chain: dict[str, float]
     flags: tuple[str, ...]
@@ -453,20 +446,3 @@ def chain_diagnostics(result: ImputationResult) -> ChainDiagnostics:
         else:
             between[name] = float(result.chain_means[:, -1, j].std(ddof=1))
     return ChainDiagnostics(tuple(rows), between, tuple(flags))
-
-
-def diagnostics_csv_rows(diag: ChainDiagnostics) -> list[list[str]]:
-    from .tabular import format_value
-
-    rows = [["chain", "iteration", "column", "mean", "sd"]]
-    for chain, it, name, mean, sd in diag.rows:
-        rows.append(
-            [
-                str(chain),
-                str(it),
-                name,
-                format_value(mean),
-                "" if np.isnan(sd) else format_value(sd),
-            ]
-        )
-    return rows

@@ -541,8 +541,11 @@ class MechanismSpec:
                         f"rule for column {rule.target} references the subject "
                         "effect but none is declared"
                     )
-        if self.subject_effect_var is not None and self.subject_effect_var < 0:
-            raise SpecificationError("subject effect variance must be >= 0")
+        var = self.subject_effect_var
+        if var is not None and not (np.isfinite(var) and var >= 0):
+            raise SpecificationError(
+                f"subject_effect_var must be a finite number >= 0, got {var}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -814,18 +817,13 @@ def _shared(values: list, conflict: str):
     return given[0] if given else None
 
 
-def compose(
-    specs: Sequence[MechanismSpec], combiner: str = "union_force_missing"
-) -> MechanismSpec:
+def compose(specs: Sequence[MechanismSpec]) -> MechanismSpec:
     """Combine mechanisms column-wise.
 
-    Under ``union_force_missing`` a cell is missing if any component forces
-    it or any component's probabilistic rule fires (independent draws);
-    forced-missing clauses take precedence over probabilistic ones by
-    evaluation order.
+    A cell is missing if any component forces it or any component's
+    probabilistic rule fires (independent draws); forced-missing clauses
+    take precedence over probabilistic ones by evaluation order.
     """
-    if combiner != "union_force_missing":
-        raise SpecificationError(f"unknown combiner {combiner!r}")
     if not specs:
         raise SpecificationError("need at least one spec to compose")
     p = specs[0].p

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -227,7 +227,8 @@ def sort_for_display(m: MissMask) -> tuple[np.ndarray, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # CSV interchange: header row of column names, empty field = missing,
-# period-decimal reals, fields in storage order.
+# period-decimal reals, fields in storage order. Every CSV misslab reads or
+# writes goes through this section.
 # ---------------------------------------------------------------------------
 
 
@@ -236,84 +237,84 @@ def format_value(v: float) -> str:
     return repr(float(v))
 
 
-def write_csv(d: DataMatrix, path: str | Path) -> None:
+def format_cell(v) -> str:
+    """The one cell rule: a float by :func:`format_value`, NaN as an empty
+    field, anything else by ``str``."""
+    if isinstance(v, float):
+        return "" if v != v else format_value(v)
+    return str(v)
+
+
+def write_table(path: str | Path, header: Sequence[str],
+                rows: Iterable[Sequence]) -> None:
+    """Write a header row and then ``rows``, each cell by :func:`format_cell`."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(d.col_names)
-        bits = d.missing.bits
-        for i in range(d.n):
-            w.writerow(
-                ""
-                if bits[i, j]
-                else format_value(d.values[i, j])
-                for j in range(d.p)
-            )
+        w.writerow(header)
+        w.writerows([format_cell(v) for v in row] for row in rows)
 
 
-def read_csv(path: str | Path) -> DataMatrix:
+def _read_table(path: str | Path, parse, what: str) -> tuple[tuple[str, ...], list]:
+    """Header names and the rows of fields mapped through ``parse``. A row of
+    the wrong length, or a field ``parse`` rejects, raises naming ``path:line``."""
     with open(path, "r", newline="") as fh:
         r = csv.reader(fh)
-        try:
-            header = next(r)
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV") from None
+        header = next(r, None)
+        if header is None:
+            raise ValueError(f"{path}: empty CSV")
         names = tuple(h.strip() for h in header)
-        rows: list[list[float]] = []
-        mask_rows: list[list[int]] = []
-        for line_no, rec in enumerate(r, start=2):
-            if len(rec) != len(names):
-                raise ValueError(
-                    f"{path}:{line_no}: expected {len(names)} fields, got {len(rec)}"
-                )
-            vals, miss = [], []
-            for f in rec:
-                f = f.strip()
-                if f == "":
-                    vals.append(np.nan)
-                    miss.append(1)
-                else:
-                    vals.append(float(f))
-                    miss.append(0)
-            rows.append(vals)
-            mask_rows.append(miss)
-    values = np.array(rows, dtype=float).reshape(len(rows), len(names))
-    bits = np.array(mask_rows, dtype=np.uint8).reshape(len(rows), len(names))
-    return DataMatrix(values, MissMask(bits), names)
-
-
-def write_mask_csv(m: MissMask, path: str | Path,
-                   col_names: Sequence[str] | None = None) -> None:
-    names = tuple(col_names) if col_names is not None else default_names(m.p)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(names)
-        for i in range(m.n):
-            w.writerow(str(int(v)) for v in m.bits[i])
-
-
-def read_mask_csv(path: str | Path) -> tuple[MissMask, tuple[str, ...]]:
-    with open(path, "r", newline="") as fh:
-        r = csv.reader(fh)
-        try:
-            header = next(r)
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV") from None
-        names = tuple(h.strip() for h in header)
-        bits = []
+        rows = []
         for line_no, rec in enumerate(r, start=2):
             if len(rec) != len(names):
                 raise ValueError(
                     f"{path}:{line_no}: expected {len(names)} fields, got {len(rec)}"
                 )
             try:
-                bits.append([int(f) for f in rec])
+                rows.append([parse(f) for f in rec])
             except ValueError:
-                raise ValueError(f"{path}:{line_no}: mask entries must be 0/1") from None
-    arr = np.array(bits).reshape(len(bits), len(names))
-    bad = np.flatnonzero(((arr != 0) & (arr != 1)).any(axis=1))
-    if bad.size:
-        raise ValueError(f"{path}:{bad[0] + 2}: mask entries must be 0/1")
-    return MissMask(arr), names
+                raise ValueError(f"{path}:{line_no}: {what}") from None
+    return names, rows
+
+
+def _data_field(f: str) -> float:
+    # Only an empty field is missing; a field spelled "nan" is rejected.
+    f = f.strip()
+    if not f:
+        return np.nan
+    v = float(f)
+    if v != v:
+        raise ValueError(f)
+    return v
+
+
+def _mask_field(f: str) -> int:
+    v = int(f)
+    if v not in (0, 1):
+        raise ValueError(f)
+    return v
+
+
+def write_csv(d: DataMatrix, path: str | Path) -> None:
+    # Missing cells hold NaN (the DataMatrix invariant): written empty.
+    write_table(path, d.col_names, d.values.tolist())
+
+
+def read_csv(path: str | Path) -> DataMatrix:
+    names, rows = _read_table(path, _data_field, "data fields must be numbers or empty")
+    values = np.array(rows, dtype=float).reshape(len(rows), len(names))
+    return DataMatrix(values, MissMask(np.isnan(values)), names)
+
+
+def write_mask_csv(m: MissMask, path: str | Path,
+                   col_names: Sequence[str] | None = None) -> None:
+    names = tuple(col_names) if col_names is not None else default_names(m.p)
+    write_table(path, names, m.bits.tolist())
+
+
+def read_mask_csv(path: str | Path) -> tuple[MissMask, tuple[str, ...]]:
+    names, rows = _read_table(path, _mask_field, "mask entries must be 0/1")
+    bits = np.array(rows, dtype=np.uint8).reshape(len(rows), len(names))
+    return MissMask(bits), names
 
 
 def read_ordering(path: str | Path, col_names: Sequence[str]) -> tuple[int, ...]:

@@ -1,13 +1,15 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from misslab.analyzer import (
+    REPORT_COLUMNS,
     VERDICT_DATA,
     VERDICT_STRUCTURED,
     VERDICT_UNSTRUCTURED,
     mcar_structure_audit,
     pairwise_dependence,
-    report_csv_rows,
     sequential_signature,
     summary_text,
 )
@@ -21,7 +23,7 @@ from misslab.mechanisms import (
     data_col,
     simulate_mask,
 )
-from misslab.tabular import DataMatrix, MissMask
+from misslab.tabular import DataMatrix, MissMask, write_table
 
 
 class TestPairwiseDependence:
@@ -80,14 +82,21 @@ class TestPairwiseDependence:
         with pytest.raises(ValueError, match="two rows"):
             pairwise_dependence(MissMask([[0, 1]]))
 
-    def test_csv_and_summary_render(self):
+    def test_csv_and_summary_render(self, tmp_path):
         rng = np.random.default_rng(8)
         bits = (rng.random((400, 3)) < 0.4).astype(np.uint8)
+        bits[:, 2] = 0  # constant column: its pairs are undetermined
         report = pairwise_dependence(MissMask(bits))
-        rows = report_csv_rows(report)
-        assert rows[0] == ["col_j", "col_k", "odds_ratio", "chi2", "p_value",
-                           "sign", "flag"]
-        assert len(rows) == 1 + len(report.pairs)
+        path = tmp_path / "report.csv"
+        write_table(path, REPORT_COLUMNS, map(astuple, report.pairs))
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert header == ["col_j", "col_k", "odds_ratio", "chi2", "p_value",
+                          "sign", "flag"]
+        assert len(rows) == len(report.pairs) == 3
+        assert float(rows[0][3]) == report.pair(0, 1).chi2
+        for row in rows[1:]:
+            assert row[2:5] == ["", "", ""]
+            assert row[5:] == ["undetermined", "undetermined"]
         assert "pairwise dependence" in summary_text(report)
 
 

@@ -109,6 +109,10 @@ class TestClassify:
          "rules[2].clauses[0].probs[0]: expected a pair"),
         (_put(None, "blocks"), "blocks: expected a list"),
         (_put({}, "declared_label"), "declared_label: missing field 'data_dependence'"),
+        (_put(float("nan"), "subject_effect_var"),
+         "subject_effect_var must be a finite number >= 0, got nan"),
+        (_put(float("inf"), "subject_effect_var"),
+         "subject_effect_var must be a finite number >= 0, got inf"),
     ])
     def test_malformed_spec_exits_one_naming_the_field(self, tmp_path, spec_file,
                                                        capsys, edit, message):
@@ -161,6 +165,12 @@ class TestAnalyze:
         path.write_text("a,b\n0,1\n-1,0\n")
         assert run(["analyze", "--mask", path]) == 1
         assert "mask.csv:3: mask entries must be 0/1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["7", "nan", "0", "1", "-0.5"])
+    def test_alpha_outside_unit_interval_exits_one(self, tmp_path, capsys, alpha):
+        path = self._mask_file(tmp_path)
+        assert run(["analyze", "--mask", path, "--alpha", alpha]) == 1
+        assert "alpha must lie in (0, 1)" in capsys.readouterr().err
 
     def test_with_ordering(self, tmp_path, capsys):
         path = self._mask_file(tmp_path)
@@ -219,6 +229,24 @@ class TestImpute:
                     "--maxit", 2, "--seed", 7, "--out", tmp_path / "ig"]) == 0
         manifest = (tmp_path / "ig.manifest.txt").read_text()
         assert "ignored_rows: 10" in manifest
+
+    @pytest.mark.parametrize("entry", ["2", "-1", "x"])
+    def test_ignore_entry_other_than_zero_or_one_exits_one(self, tmp_path, data_file,
+                                                           capsys, entry):
+        ignore = tmp_path / "ignore.txt"
+        ignore.write_text("\n".join(["0"] * 79 + [entry]) + "\n")
+        assert run(["impute", "--data", data_file, "--ignore", ignore,
+                    "--seed", 1, "--out", tmp_path / "o"]) == 1
+        assert "--ignore: entries must be 0 or 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("o.*"))
+
+    @pytest.mark.parametrize("ridge", ["nan", "inf", "-1"])
+    def test_ridge_must_be_finite_and_non_negative(self, tmp_path, data_file, capsys,
+                                                   ridge):
+        assert run(["impute", "--data", data_file, "--ridge", ridge,
+                    "--seed", 1, "--out", tmp_path / "o"]) == 1
+        assert "ridge must be a finite number >= 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("o.*"))
 
     def test_collinear_design_exits_two(self, tmp_path, capsys):
         base = np.random.default_rng(4).normal(size=40)
@@ -279,6 +307,23 @@ class TestExperimentVerb:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(override))
         code = run(["experiment", "--id", "sim2", "--seed", 1,
+                    "--config", config, "--out", tmp_path / "o"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("experiment, override, message", [
+        ("sim1", {"p": 1}, "p must be >= 2"),
+        ("sim1", {"n_train": 0}, "n_train must be a positive integer"),
+        ("sim1", {"n_test": 0}, "n_test must be a positive integer"),
+        ("sim2", {"n": 0}, ": n must be a positive integer"),
+        ("sim3", {"n": -5}, ": n must be a positive integer"),
+    ])
+    def test_empty_study_size_exits_one(self, tmp_path, capsys, experiment, override,
+                                        message):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(override))
+        code = run(["experiment", "--id", experiment, "--reps", 1, "--seed", 1,
                     "--config", config, "--out", tmp_path / "o"])
         assert code == 1
         assert message in capsys.readouterr().err
@@ -347,9 +392,10 @@ def _subprocess_env() -> dict:
 
 
 def test_cli_import_skips_scipy_stats():
-    # scipy.stats takes about a second to import; verbs that need no
-    # statistics must not pay for it.
-    code = "import misslab.cli, sys; assert 'scipy.stats' not in sys.modules"
+    # scipy.stats and scipy.linalg take about a second and half a second to
+    # import; verbs that need no statistics or model fits must not pay for it.
+    code = ("import misslab.cli, sys; "
+            "assert not {'scipy.stats', 'scipy.linalg'} & set(sys.modules)")
     subprocess.run([sys.executable, "-c", code], check=True, env=_subprocess_env())
 
 

@@ -9,13 +9,12 @@ from misslab.impute import (
     ImputationConfig,
     UnimputableColumnError,
     chain_diagnostics,
-    diagnostics_csv_rows,
     fcs_impute,
     fit_norm_draw,
     fit_pmm_draw,
     pmm_donors,
 )
-from misslab.tabular import DataMatrix, MissMask
+from misslab.tabular import DataMatrix, MissMask, write_table
 
 
 def design(x):
@@ -360,6 +359,14 @@ class TestFcsImpute:
         with pytest.raises(ValueError, match="non-finite observed value"):
             fcs_impute(masked(data, bits), ImputationConfig(seed=0))
 
+    @pytest.mark.parametrize("method", ["mice", ("norm", "pmm")])
+    def test_method_must_be_one_known_name(self, method):
+        data = np.ones((5, 2))
+        bits = np.zeros((5, 2), dtype=np.uint8)
+        bits[1, 1] = 1
+        with pytest.raises(ValueError, match="unknown method"):
+            fcs_impute(masked(data, bits), ImputationConfig(method=method, seed=0))
+
     def test_logical_cells_stay_empty(self):
         rng = np.random.default_rng(23)
         data = rng.normal(size=(80, 3))
@@ -411,11 +418,22 @@ class TestChainDiagnostics:
         assert all(name == "X2" for _, _, name, _, _ in diag.rows)
         assert len(diag.rows) == 3 * 4
 
-    def test_csv_rows_shape(self):
-        diag = chain_diagnostics(self._result(m=2))
-        rows = diagnostics_csv_rows(diag)
-        assert rows[0] == ["chain", "iteration", "column", "mean", "sd"]
-        assert len(rows) == 1 + 2 * 4
+    def test_csv_rows_shape(self, tmp_path):
+        rng = np.random.default_rng(33)
+        bits = np.zeros((50, 3), dtype=np.uint8)
+        bits[rng.random(50) < 0.3, 1] = 1
+        bits[7, 2] = 1  # one imputed cell: its sd is undefined
+        result = fcs_impute(masked(rng.normal(size=(50, 3)), bits),
+                            ImputationConfig(m=2, maxit=4, method="norm", seed=33))
+        diag = chain_diagnostics(result)
+        path = tmp_path / "diagnostics.csv"
+        write_table(path, diag.columns, diag.rows)
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert header == ["chain", "iteration", "column", "mean", "sd"]
+        assert len(rows) == 2 * 4 * 2
+        for _, _, name, mean, sd in rows:
+            assert mean and not math.isnan(float(mean))
+            assert (sd == "") == (name == "X3")
 
     def test_slow_convergence_visible_at_high_q(self):
         # At heavy indicator coupling the chains need far more than five

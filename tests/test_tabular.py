@@ -14,6 +14,7 @@ from misslab.tabular import (
     split_obs_mis,
     write_csv,
     write_mask_csv,
+    write_table,
 )
 
 
@@ -154,6 +155,28 @@ class TestCsv:
         (tmp_path / "bad.csv").write_text("a,b\n1.0\n")
         with pytest.raises(ValueError, match="expected 2 fields"):
             read_csv(tmp_path / "bad.csv")
+
+    def test_awkward_header_names_round_trip(self, tmp_path):
+        names = ("a,b", 'c"d', 'e,"f"')
+        d = dm([[1.0, np.nan, 3.0]], [[0, 1, 0]], names)
+        write_csv(d, tmp_path / "d.csv")
+        assert read_csv(tmp_path / "d.csv").col_names == names
+        write_mask_csv(d.missing, tmp_path / "m.csv", names)
+        assert read_mask_csv(tmp_path / "m.csv")[1] == names
+
+    @pytest.mark.parametrize("field", ["abc", "nan", "NaN", " nan "])
+    def test_bad_data_field_names_file_and_line(self, tmp_path, field):
+        # Only an empty field is missing: "nan" is not a spelling of it.
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b\n1.0,2.0\n3.0,{field}\n")
+        with pytest.raises(ValueError, match=r"d\.csv:3: data fields must be numbers"):
+            read_csv(path)
+
+    def test_write_table_cell_rule(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ("f", "i", "s"),
+                    [(0.1, 3, "x"), (np.nan, np.int64(-2), "y,z"), (np.float64(2.0), 7, "")])
+        assert path.read_text() == 'f,i,s\n0.1,3,x\n,-2,"y,z"\n2.0,7,\n'
 
     def test_format_value_round_trips(self):
         for v in (0.1, 1 / 3, -2.5e-17, 123456.789):
