@@ -30,7 +30,12 @@ from . import __version__
 from .analyzer import pairwise_dependence
 from .builtins import BUILTIN_NAMES, builtin_structures
 from .fixtures import sim2_label, sim2_spec, sim3_label, sim3_spec
-from .impute import ImputationConfig, fcs_impute
+from .impute import (
+    CollinearityError,
+    ImputationConfig,
+    UnimputableColumnError,
+    fcs_impute,
+)
 from .inference import ols_fit, pool, predict_mse, replicate_metrics
 from .mechanisms import MechanismSpec, SpecificationError, classify, simulate_mask
 from .tabular import DataMatrix, MissMask, format_cell, write_table
@@ -170,6 +175,20 @@ def _compound_symmetry_chol(p: int, rho: float) -> np.ndarray:
     sigma = np.full((p, p), rho)
     np.fill_diagonal(sigma, 1.0)
     return np.linalg.cholesky(sigma)
+
+
+def _impute_cell(dm: DataMatrix, impcfg: ImputationConfig, cell: str):
+    """``fcs_impute`` for one study cell. A sample too small for the
+    imputation model (a column never observed, or a singular design such as
+    an indicator that is constant where its target is observed) is a
+    problem of the configured size: it is reported as a ``ValueError``
+    naming the cell."""
+    try:
+        return fcs_impute(dm, impcfg)
+    except (CollinearityError, UnimputableColumnError) as exc:
+        raise ValueError(
+            f"{cell}: {exc}; the sample is too small for this imputation model"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +355,7 @@ def _sim2_replicate(cfg: ExperimentConfig, rep: int) -> list[dict]:
         mask = simulate_mask(spec, x, _seed_seq(cfg, q_idx, rep, 1))
         dm = DataMatrix(x.copy(), mask, ("X1", "X2", "X3"))
         for m_idx, maxit in enumerate(cfg.maxit_list):
-            result = fcs_impute(
+            result = _impute_cell(
                 dm,
                 ImputationConfig(
                     m=cfg.m,
@@ -344,6 +363,7 @@ def _sim2_replicate(cfg: ExperimentConfig, rep: int) -> list[dict]:
                     method="norm",
                     seed=_seed_seq(cfg, q_idx, rep, 2, m_idx),
                 ),
+                f"study 2 at n={n}, q={q}, replicate {rep}, maxit {maxit}",
             )
             estimates, variances = [], []
             for completed in result.completed:
@@ -426,7 +446,7 @@ def _sim3_replicate(cfg: ExperimentConfig, rep: int) -> list[dict]:
                 1,
             ),
         ):
-            result = fcs_impute(
+            result = _impute_cell(
                 dm,
                 ImputationConfig(
                     m=cfg.m,
@@ -436,6 +456,7 @@ def _sim3_replicate(cfg: ExperimentConfig, rep: int) -> list[dict]:
                         cfg, q_idx, rep, 2, 0 if approach == "fcs_on_values" else 1
                     ),
                 ),
+                f"study 3 at n={n}, q={q}, replicate {rep}, approach {approach}",
             )
             estimates, variances = [], []
             for completed in result.completed:

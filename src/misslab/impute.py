@@ -12,9 +12,12 @@ training fit. Cells flagged logically missing are never imputed at all:
 they stay empty in every completed copy and enter the fits of *other*
 columns through a neutral mean fill.
 
-Chains are mutually independent with sub-seeds spawned from the
-configuration seed, so results are reproducible and chain order is
-irrelevant to the output.
+The m chains advance together: each sweep visits each column once for all
+chains. Their working values live in one stacked array of m * n * (p + 1)
+floats (the values plus a shared intercept column), and the completed
+copies may be views into it. Chains are mutually independent, each drawing
+from its own generator spawned from the configuration seed, so results are
+reproducible and a chain's draws do not depend on the others.
 """
 
 from __future__ import annotations
@@ -87,47 +90,123 @@ class ImputationConfig:
 
 @dataclass(frozen=True)
 class RegressionDraw:
-    """One Bayesian univariate regression draw."""
+    """Bayesian univariate regression draws.
+
+    Inside the engine every field has a leading chain axis: ``values`` is
+    (m, n_mis), ``beta_hat`` and ``beta_star`` are (m, k) and ``sigma`` is
+    (m,). The one-chain entry points return them without it.
+    """
 
     values: np.ndarray
     beta_hat: np.ndarray
     beta_star: np.ndarray
-    sigma: float
+    sigma: np.ndarray | float
 
 
-def _bayes_regression(y_obs, x_obs, ridge, rng):
-    """Point estimate plus posterior parameter draw for one column model.
+class _NonFiniteDraw(FloatingPointError):
+    """A chain's draw, or the predictions PMM matches on, is not finite."""
 
-    Solves the ridged normal equations (ridge scaled by the diagonal), then
-    draws the residual variance from its scaled inverse chi-square
-    conditional and the coefficients from their normal conditional.
-    """
+    def __init__(self, chain: int):
+        self.chain = chain
+        super().__init__(f"non-finite draw in chain {chain}")
+
+
+def _collinear(x_obs: np.ndarray) -> CollinearityError:
+    """The error for a design whose normal equations cannot be factored:
+    the columns a pivoted QR finds beyond the numerical rank."""
     from scipy import linalg as sla  # slow to import; only imputation needs it
 
-    y_obs = np.asarray(y_obs, float)
-    x_obs = np.asarray(x_obs, float)
     n, k = x_obs.shape
-    if len(y_obs) != n:
-        raise ValueError("response and design row counts differ")
-    s = x_obs.T @ x_obs
+    _, r, piv = sla.qr(x_obs, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    tol = diag.max() * max(n, k) * np.finfo(float).eps if diag.size else 0.0
+    rank = int((diag > tol).sum())
+    return CollinearityError(sorted(piv[rank:]))
+
+
+def _draw(y_obs, x_obs, x_mis, donors, ridge, rngs) -> RegressionDraw:
+    """One column's draws for every chain at once.
+
+    ``y_obs`` is (m, n_obs), ``x_obs`` (m, n_obs, k) and ``x_mis``
+    (m, n_mis, k), all C-contiguous; ``rngs`` holds one generator per chain.
+    ``donors`` is None for the normal draw and the donor count for PMM.
+
+    Per chain: solve the ridged normal equations (ridge scaled by the
+    diagonal), draw the residual variance from its scaled inverse chi-square
+    conditional and the coefficients from their normal conditional, then
+    the missing values, either ``x_mis @ beta_star + sigma * noise`` or by
+    matching (:func:`pmm_donors`). Each chain draws from its own generator
+    in the order a lone chain would. The products and factorisations are
+    batched; the triangular solves run per chain in LAPACK.
+
+    Raises :class:`CollinearityError` for the lowest chain whose equations
+    cannot be factored and :class:`_NonFiniteDraw` for the lowest chain
+    whose draw is not finite.
+    """
+    from scipy.linalg.lapack import dpotrs, dtrtrs  # slow to import
+
+    m, n_obs, k = x_obs.shape
+    xt = x_obs.transpose(0, 2, 1)
+    s = xt @ x_obs
     if ridge > 0:
-        s = s + np.diag(ridge * np.diag(s))
+        d = np.arange(k)
+        s[:, d, d] += ridge * s[:, d, d]
     try:
-        chol_s = np.linalg.cholesky(s)
+        chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
-        _, r, piv = sla.qr(x_obs, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(r))
-        tol = diag.max() * max(n, k) * np.finfo(float).eps if diag.size else 0.0
-        rank = int((diag > tol).sum())
-        raise CollinearityError(sorted(piv[rank:])) from None
-    beta_hat = sla.cho_solve((chol_s, True), x_obs.T @ y_obs)
-    dof = max(n - k, 1)
-    rss = float(((y_obs - x_obs @ beta_hat) ** 2).sum())
-    sigma = float(np.sqrt(rss / rng.chisquare(dof)))
-    z = rng.standard_normal(k)
-    # solve(L^T, z) has covariance (L L^T)^-1 = S^-1, as required.
-    beta_star = beta_hat + sigma * sla.solve_triangular(chol_s.T, z, lower=False)
-    return beta_hat, beta_star, sigma
+        for c in range(m):
+            try:
+                np.linalg.cholesky(s[c])
+            except np.linalg.LinAlgError:
+                raise _collinear(x_obs[c]) from None
+        raise
+    xty = (xt @ y_obs[..., None])[..., 0]
+    dof = max(n_obs - k, 1)
+    beta_hat = np.empty((m, k))
+    step = np.empty((m, k))
+    chi2 = np.empty(m)
+    noise = np.empty(x_mis.shape[:2])
+    for c, rng in enumerate(rngs):
+        beta_hat[c] = dpotrs(chol[c], xty[c], lower=1)[0]
+        chi2[c] = rng.chisquare(dof)
+        # solve(L^T, z) has covariance (L L^T)^-1 = S^-1, as required.
+        step[c] = dtrtrs(chol[c].T, rng.standard_normal(k))[0]
+        if donors is None:
+            noise[c] = rng.standard_normal(noise.shape[1])
+    fit = (x_obs @ beta_hat[..., None])[..., 0]
+    sigma = np.sqrt(((y_obs - fit) ** 2).sum(axis=1) / chi2)
+    beta_star = beta_hat + sigma[:, None] * step
+    eta_mis = (x_mis @ beta_star[..., None])[..., 0]
+    if donors is None:
+        values = eta_mis + sigma[:, None] * noise
+        bad = ~np.isfinite(values).all(axis=1)
+    else:
+        bad = ~(np.isfinite(fit).all(axis=1) & np.isfinite(eta_mis).all(axis=1))
+    if bad.any():
+        raise _NonFiniteDraw(int(bad.argmax()))
+    if donors is not None:
+        # Observed rows score with the point estimate, missing rows with
+        # the posterior draw.
+        values = np.take_along_axis(
+            y_obs, _pmm_donors(fit, eta_mis, donors, rngs), axis=1)
+    return RegressionDraw(values, beta_hat, beta_star, sigma)
+
+
+def _one_chain(y_obs, x_obs, x_mis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A lone chain's inputs, checked and given a leading chain axis."""
+    y_obs = np.ascontiguousarray(y_obs, float)
+    x_obs = np.ascontiguousarray(x_obs, float)
+    x_mis = np.ascontiguousarray(x_mis, float)
+    if len(y_obs) != len(x_obs):
+        raise ValueError("response and design row counts differ")
+    if not all(np.isfinite(a).all() for a in (y_obs, x_obs, x_mis)):
+        raise ValueError("non-finite regression input")
+    return y_obs[None], x_obs[None], x_mis[None]
+
+
+def _first_chain(draw: RegressionDraw) -> RegressionDraw:
+    return RegressionDraw(draw.values[0], draw.beta_hat[0], draw.beta_star[0],
+                          float(draw.sigma[0]))
 
 
 def fit_norm_draw(
@@ -137,13 +216,10 @@ def fit_norm_draw(
     """Bayesian normal linear regression imputation for one column.
 
     Returns draws ``x_mis @ beta_star + sigma * noise`` together with the
-    fitted and drawn coefficients.
+    fitted and drawn coefficients: the engine's draw for a single chain.
     """
     rng = np.random.default_rng() if rng is None else rng
-    x_mis = np.asarray(x_mis, float)
-    beta_hat, beta_star, sigma = _bayes_regression(y_obs, x_obs, ridge, rng)
-    values = x_mis @ beta_star + sigma * rng.standard_normal(x_mis.shape[0])
-    return RegressionDraw(values, beta_hat, beta_star, sigma)
+    return _first_chain(_draw(*_one_chain(y_obs, x_obs, x_mis), None, ridge, [rng]))
 
 
 def _first_true(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -158,6 +234,70 @@ def _first_true(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         lo[rows] = np.where(ok, lo[rows], mid + 1)
         rows = rows[lo[rows] < hi[rows]]
     return lo
+
+
+def _pmm_donors(eta_obs, eta_mis, donors: int, rngs) -> np.ndarray:
+    """:func:`pmm_donors` for every chain at once: (m, n_obs) and (m, n_mis)
+    finite predictions give (m, n_mis) donor indices, chain ``c`` drawing
+    from ``rngs[c]``.
+
+    The chains' sorted predictions are laid end to end in one flat array,
+    so the window, the partition and the tie bisection run over all
+    m * n_mis recipients together; a recipient's index range never leaves
+    its own chain's block.
+    """
+    m, n_obs = eta_obs.shape
+    n_mis, k = eta_mis.shape[1], donors
+    if not 1 <= k <= n_obs:
+        raise ValueError(f"donors={k} must lie in 1..{n_obs}")
+    if n_mis == 0:
+        return np.empty((m, 0), dtype=np.intp)
+    order = np.argsort(eta_obs, axis=1, kind="stable")
+    srt = np.take_along_axis(eta_obs, order, axis=1)
+    pos = np.concatenate([np.searchsorted(srt[c], eta_mis[c]) for c in range(m)])
+    srt, e = srt.ravel(), eta_mis.ravel()
+    first = np.repeat(np.arange(m) * n_obs, n_mis)  # each recipient's block
+    last = first + n_obs
+    width = min(2 * k, n_obs)
+    start = first + np.clip(pos - k, 0, n_obs - width)
+    dist = np.abs(srt[start[:, None] + np.arange(width)] - e[:, None])
+    d_k = np.partition(dist, k - 1, axis=1)[:, k - 1]
+    within = dist <= d_k[:, None]
+    closer = dist < d_k[:, None]
+    # Distances fall, then rise along the window, so the rows within d_k are
+    # the range [lo, hi) and the n_close rows closer than d_k are the range
+    # starting at lo_close inside it (lo_close is unused when n_close = 0).
+    lo = start + within.argmax(axis=1)
+    hi = lo + within.sum(axis=1)
+    lo_close = start + closer.argmax(axis=1)
+    n_close = closer.sum(axis=1)
+
+    # A tie that reaches the window edge may run on past it.
+    stop = start + width
+    wide = np.flatnonzero((lo == start) & (start > first))
+    wide = wide[np.abs(srt[start[wide] - 1] - e[wide]) <= d_k[wide]]
+    if wide.size:
+        ew, dw = e[wide], d_k[wide]
+        lo[wide] = _first_true(
+            lambda r, j: np.abs(srt[j] - ew[r]) <= dw[r], first[wide], start[wide],
+        )
+    wide = np.flatnonzero((hi == stop) & (stop < last))
+    wide = wide[np.abs(srt[stop[wide]] - e[wide]) <= d_k[wide]]
+    if wide.size:
+        ew, dw = e[wide], d_k[wide]
+        hi[wide] = _first_true(
+            lambda r, j: np.abs(srt[j] - ew[r]) > dw[r], stop[wide], last[wide],
+        )
+
+    u = np.concatenate([rng.integers(0, k, size=n_mis) for rng in rngs])
+    pick = lo_close + u
+    ties = (u >= n_close).reshape(m, n_mis)
+    for c, rng in enumerate(rngs):
+        tied = c * n_mis + np.flatnonzero(ties[c])
+        n_c = n_close[tied]
+        v = lo[tied] + rng.integers(0, hi[tied] - lo[tied] - n_c)
+        pick[tied] = np.where(v < lo_close[tied], v, v + n_c)
+    return order.ravel()[pick].reshape(m, n_mis)
 
 
 def pmm_donors(
@@ -185,57 +325,9 @@ def pmm_donors(
     """
     eta_obs = np.asarray(eta_obs, float)
     eta_mis = np.asarray(eta_mis, float)
-    n_obs, n_mis, k = len(eta_obs), len(eta_mis), donors
-    if not 1 <= k <= n_obs:
-        raise ValueError(f"donors={k} must lie in 1..{n_obs}")
-    if n_mis == 0:
-        return np.empty(0, dtype=np.intp)
     if not (np.isfinite(eta_obs).all() and np.isfinite(eta_mis).all()):
-        raise FloatingPointError("non-finite predictions to match on")
-    order = np.argsort(eta_obs, kind="stable")
-    srt = eta_obs[order]
-    pos = np.searchsorted(srt, eta_mis)
-    width = min(2 * k, n_obs)
-    start = np.clip(pos - k, 0, n_obs - width)
-    idx = start[:, None] + np.arange(width)
-    dist = np.abs(srt[idx] - eta_mis[:, None])
-    d_k = np.partition(dist, k - 1, axis=1)[:, k - 1]
-    within = dist <= d_k[:, None]
-    closer = dist < d_k[:, None]
-    # Distances fall, then rise along the window, so the rows within d_k are
-    # the range [lo, hi) and the n_close rows closer than d_k are the range
-    # starting at lo_close inside it (lo_close is unused when n_close = 0).
-    lo = start + within.argmax(axis=1)
-    hi = lo + within.sum(axis=1)
-    lo_close = start + closer.argmax(axis=1)
-    n_close = closer.sum(axis=1)
-
-    # A tie that reaches the window edge may run on past it.
-    stop = start + width
-    wide = np.flatnonzero((lo == start) & (start > 0))
-    wide = wide[np.abs(srt[start[wide] - 1] - eta_mis[wide]) <= d_k[wide]]
-    if wide.size:
-        e, d = eta_mis[wide], d_k[wide]
-        lo[wide] = _first_true(
-            lambda r, j: np.abs(srt[j] - e[r]) <= d[r],
-            np.zeros(wide.size, dtype=lo.dtype), start[wide],
-        )
-    wide = np.flatnonzero((hi == stop) & (stop < n_obs))
-    wide = wide[np.abs(srt[stop[wide]] - eta_mis[wide]) <= d_k[wide]]
-    if wide.size:
-        e, d = eta_mis[wide], d_k[wide]
-        hi[wide] = _first_true(
-            lambda r, j: np.abs(srt[j] - e[r]) > d[r],
-            stop[wide], np.full(wide.size, n_obs, dtype=hi.dtype),
-        )
-
-    u = rng.integers(0, k, size=n_mis)
-    pick = lo_close + u
-    tied = np.flatnonzero(u >= n_close)
-    c = n_close[tied]
-    v = lo[tied] + rng.integers(0, hi[tied] - lo[tied] - c)
-    pick[tied] = np.where(v < lo_close[tied], v, v + c)
-    return order[pick]
+        raise ValueError("non-finite predictions to match on")
+    return _pmm_donors(eta_obs[None], eta_mis[None], donors, [rng])[0]
 
 
 def fit_pmm_draw(
@@ -251,31 +343,28 @@ def fit_pmm_draw(
     smallest distance, plus a uniform subset of the rows tied at that
     distance (:func:`pmm_donors`). The search sorts the observed
     predictions once and bisects into them, so memory stays linear in the
-    row counts.
+    row counts. This is the engine's draw for a single chain.
     """
     rng = np.random.default_rng() if rng is None else rng
-    y_obs = np.asarray(y_obs, float)
-    x_mis = np.asarray(x_mis, float)
-    n_obs = len(y_obs)
+    y_obs, x_obs, x_mis = _one_chain(y_obs, x_obs, x_mis)
+    n_obs = y_obs.shape[1]
     if donors > n_obs:
         raise ValueError(
             f"donors={donors} exceeds the {n_obs} observed rows available"
         )
-    beta_hat, beta_star, sigma = _bayes_regression(y_obs, x_obs, ridge, rng)
-    eta_obs = np.asarray(x_obs, float) @ beta_hat
-    eta_mis = x_mis @ beta_star
-    values = y_obs[pmm_donors(eta_obs, eta_mis, donors, rng)]
-    return RegressionDraw(values, beta_hat, beta_star, sigma)
+    return _first_chain(_draw(y_obs, x_obs, x_mis, donors, ridge, [rng]))
 
 
 @dataclass(frozen=True)
 class ImputationResult:
     """Completed copies plus per-sweep chain statistics.
 
-    ``chain_means``/``chain_sds`` have shape (m, maxit, p) and are NaN for
-    columns that were never imputed. ``fitted_models`` holds, per chain,
-    the final-sweep point-estimate coefficients of each visited column
-    (intercept first, then the other columns in storage order).
+    ``completed`` holds one (n, p) array per chain; they may be views into
+    one stacked array. ``chain_means``/``chain_sds`` have shape
+    (m, maxit, p) and are NaN for columns that were never imputed.
+    ``fitted_models`` holds, per chain, the final-sweep point-estimate
+    coefficients of each visited column (intercept first, then the other
+    columns in storage order).
     """
 
     completed: tuple[np.ndarray, ...]
@@ -290,21 +379,32 @@ class ImputationResult:
         return len(self.completed)
 
 
-def _design(work: np.ndarray, j: int) -> np.ndarray:
-    n, p = work.shape
-    out = np.empty((n, p))
-    out[:, 0] = 1.0
-    out[:, 1:] = np.delete(work, j, axis=1)
-    return out
+def _design(stack: np.ndarray, rows: np.ndarray, j: int) -> np.ndarray:
+    """The (m, len(rows), p) C-contiguous design of column ``j`` for every
+    chain, gathered in one ``take`` from ``stack`` (column 0 the intercept,
+    columns 1..p the working values): the intercept, then the other columns
+    in storage order."""
+    m, _, q = stack.shape
+    cols = [c for c in range(q) if c != j + 1]
+    return stack.reshape(m, -1).take(rows[:, None] * q + cols, axis=1)
 
 
 def fcs_impute(x: DataMatrix, cfg: ImputationConfig) -> ImputationResult:
     """Multiply impute ``x`` by fully conditional specification.
 
+    The m chains advance together: every sweep visits each incomplete
+    column once and draws it for all chains (:func:`_draw`). Chain ``c``
+    draws from the generator of ``SeedSequence(seed).spawn(m)[c]``, so its
+    values do not depend on the other chains.
+
     Raises :class:`UnimputableColumnError` when a column has missing cells
     but no observed values among non-ignored rows, and ``ValueError`` on
-    non-finite observed input; non-finite draws abort with the offending
-    column and sweep named.
+    non-finite observed input. A draw that fails aborts the run: a singular
+    design raises :class:`CollinearityError` naming the collinear design
+    columns, a non-finite draw raises ``FloatingPointError`` naming the
+    column, sweep and chain. When several chains fail, the error is the
+    one at the first (sweep, column) at which any chain fails, for the
+    lowest such chain.
     """
     bits = x.missing.bits
     logical = x.missing.logical_bits()
@@ -326,9 +426,10 @@ def fcs_impute(x: DataMatrix, cfg: ImputationConfig) -> ImputationResult:
 
     imputable = (bits == 1) & (logical == 0)
     visit = tuple(j for j in range(p) if imputable[:, j].any())
-    fit_rows = {j: (~ignore) & observed_cells[:, j] for j in visit}
+    fit_rows = {j: np.flatnonzero((~ignore) & observed_cells[:, j]) for j in visit}
+    mis_rows = {j: np.flatnonzero(imputable[:, j]) for j in visit}
     for j in visit:
-        if not fit_rows[j].any():
+        if not fit_rows[j].size:
             raise UnimputableColumnError(j, x.col_names[j])
 
     seed_seq = (
@@ -336,70 +437,59 @@ def fcs_impute(x: DataMatrix, cfg: ImputationConfig) -> ImputationResult:
         if isinstance(cfg.seed, np.random.SeedSequence)
         else np.random.SeedSequence(cfg.seed)
     )
-    chain_seeds = seed_seq.spawn(cfg.m)
+    rngs = [np.random.default_rng(s) for s in seed_seq.spawn(cfg.m)]
 
-    completed: list[np.ndarray] = []
-    chain_means = np.full((cfg.m, cfg.maxit, p), np.nan)
-    chain_sds = np.full((cfg.m, cfg.maxit, p), np.nan)
-    fitted: list[dict[int, np.ndarray]] = []
-
+    # Every chain lives in one (m, n, 1 + p) array: column 0 holds the
+    # intercept of every design, and ``work`` views the working values.
+    stack = np.empty((cfg.m, n, 1 + p))
+    stack[..., 0] = 1.0
+    work = stack[..., 1:]
+    work[:] = x.values
     logical_cells = logical == 1
-    mean_fill = np.zeros(p)
     for j in range(p):
         if logical_cells[:, j].any():
             pool = x.values[(~ignore) & observed_cells[:, j], j]
             if pool.size == 0:
                 pool = x.values[observed_cells[:, j], j]
-            mean_fill[j] = pool.mean() if pool.size else 0.0
-
-    for chain_seed in chain_seeds:
-        rng = np.random.default_rng(chain_seed)
-        work = x.masked_values()
-        for j in range(p):
-            if logical_cells[:, j].any():
-                work[logical_cells[:, j], j] = mean_fill[j]
+            work[:, logical_cells[:, j], j] = pool.mean() if pool.size else 0.0
+    for c, rng in enumerate(rngs):
         for j in visit:
-            pool = x.values[fit_rows[j], j]
-            work[imputable[:, j], j] = rng.choice(pool, size=imputable[:, j].sum())
+            work[c, mis_rows[j], j] = rng.choice(
+                x.values[fit_rows[j], j], size=mis_rows[j].size
+            )
 
-        models: dict[int, np.ndarray] = {}
-        for it in range(cfg.maxit):
-            for j in visit:
-                rows = fit_rows[j]
-                design = _design(work, j)
-                y_obs = work[rows, j]
-                x_obs = design[rows]
-                x_mis = design[imputable[:, j]]
-                if cfg.method == "norm":
-                    draw = fit_norm_draw(y_obs, x_obs, x_mis, cfg.ridge, rng)
-                else:
-                    # Sparse columns can have fewer observed rows than the
-                    # requested pool; matching still works with what exists.
-                    donors = min(cfg.donors, len(y_obs))
-                    draw = fit_pmm_draw(
-                        y_obs, x_obs, x_mis, donors, cfg.ridge, rng
-                    )
-                if not np.isfinite(draw.values).all():
-                    raise FloatingPointError(
-                        f"non-finite imputation for column "
-                        f"{x.col_names[j]!r} at sweep {it + 1}"
-                    )
-                work[imputable[:, j], j] = draw.values
-                chain_means[len(completed), it, j] = draw.values.mean()
-                if draw.values.size >= 2:
-                    chain_sds[len(completed), it, j] = draw.values.std(ddof=1)
-                if it == cfg.maxit - 1:
-                    models[j] = draw.beta_hat
-        out = work.copy()
-        out[logical_cells] = np.nan
-        completed.append(out)
-        fitted.append(models)
+    chain_means = np.full((cfg.m, cfg.maxit, p), np.nan)
+    chain_sds = np.full((cfg.m, cfg.maxit, p), np.nan)
+    fitted: tuple[dict[int, np.ndarray], ...] = tuple({} for _ in rngs)
+    for it in range(cfg.maxit):
+        for j in visit:
+            rows, mis = fit_rows[j], mis_rows[j]
+            # Sparse columns can have fewer observed rows than the requested
+            # pool; matching still works with what exists.
+            donors = None if cfg.method == "norm" else min(cfg.donors, rows.size)
+            try:
+                draw = _draw(np.take(work[..., j], rows, axis=1),
+                             _design(stack, rows, j), _design(stack, mis, j),
+                             donors, cfg.ridge, rngs)
+            except _NonFiniteDraw as exc:
+                raise FloatingPointError(
+                    f"non-finite imputation for column {x.col_names[j]!r} "
+                    f"at sweep {it + 1} in chain {exc.chain}"
+                ) from None
+            work[:, mis, j] = draw.values
+            chain_means[:, it, j] = draw.values.mean(axis=1)
+            if mis.size >= 2:
+                chain_sds[:, it, j] = draw.values.std(axis=1, ddof=1)
+            if it == cfg.maxit - 1:
+                for models, beta in zip(fitted, draw.beta_hat):
+                    models[j] = beta
+    work[:, logical_cells] = np.nan
 
     return ImputationResult(
-        completed=tuple(completed),
+        completed=tuple(work),
         chain_means=chain_means,
         chain_sds=chain_sds,
-        fitted_models=tuple(fitted),
+        fitted_models=fitted,
         visited_columns=visit,
         col_names=x.col_names,
     )

@@ -132,10 +132,6 @@ class DataMatrix:
         """Values of column ``j`` restricted to observed rows."""
         return self.values[self.missing.bits[:, j] == 0, j]
 
-    def masked_values(self) -> np.ndarray:
-        """Writable copy of the value matrix, NaN at missing cells."""
-        return self.values.copy()
-
 
 @dataclass(frozen=True)
 class PatternSummary:
@@ -245,13 +241,37 @@ def format_cell(v) -> str:
     return str(v)
 
 
+# Rows of a float array formatted per block: bounds the text held at once.
+_FLOAT_BLOCK_ROWS = 4096
+
+
+def _write_float_rows(fh, values: np.ndarray) -> None:
+    """The rows of a 2-D float array, exactly as :func:`format_cell` and the
+    CSV writer would give them: ``repr`` of each value, NaN as an empty
+    field (quoted, as the writer quotes a row that is one empty field, when
+    there is one column). No float repr needs quoting, and ``nan`` is the
+    only one containing that text."""
+    blank = '""' if values.shape[1] == 1 else ""
+    for lo in range(0, len(values), _FLOAT_BLOCK_ROWS):
+        # The C repr of a nested list formats every value by float repr.
+        text = repr(values[lo:lo + _FLOAT_BLOCK_ROWS].tolist())
+        fh.write(text[2:-2].replace("], [", "\n").replace(", ", ",")
+                 .replace("nan", blank) + "\n")
+
+
 def write_table(path: str | Path, header: Sequence[str],
-                rows: Iterable[Sequence]) -> None:
-    """Write a header row and then ``rows``, each cell by :func:`format_cell`."""
+                rows: Iterable[Sequence] | np.ndarray) -> None:
+    """Write a header row and then ``rows``, each cell by :func:`format_cell`.
+
+    A 2-D float64 array is written a block of rows at a time instead of
+    cell by cell, to the same bytes."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        w.writerows([format_cell(v) for v in row] for row in rows)
+        if isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2:
+            _write_float_rows(fh, rows)
+        else:
+            w.writerows([format_cell(v) for v in row] for row in rows)
 
 
 def _read_table(path: str | Path, parse, what: str) -> tuple[tuple[str, ...], list]:
@@ -296,7 +316,7 @@ def _mask_field(f: str) -> int:
 
 def write_csv(d: DataMatrix, path: str | Path) -> None:
     # Missing cells hold NaN (the DataMatrix invariant): written empty.
-    write_table(path, d.col_names, d.values.tolist())
+    write_table(path, d.col_names, d.values)
 
 
 def read_csv(path: str | Path) -> DataMatrix:

@@ -329,6 +329,22 @@ class TestExperimentVerb:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_sample_too_small_for_the_design_exits_one(self, tmp_path, capsys):
+        # At n = 12 the indicator M1 is constant among the rows with X2
+        # observed in some replicate, so regression on it is singular.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"n": 12, "m": 2, "q_grid": [0.0, 0.5, 1.0], "sim3_maxit": 1}
+        ))
+        code = run(["experiment", "--id", "sim3", "--reps", 3, "--seed", 1,
+                    "--config", config, "--out", tmp_path / "o"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert ("study 3 at n=12, q=0.5, replicate 2, approach regress_on_indicator: "
+                "design is singular") in err
+        assert "too small" in err
+        assert not (tmp_path / "o").exists()
+
     def test_integer_spelling_writes_float_bytes(self, tmp_path):
         for name, grid in (("ints", [0, 0.5, 1]), ("floats", [0.0, 0.5, 1.0])):
             config = tmp_path / f"{name}.json"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ from misslab.impute import (
     CollinearityError,
     ImputationConfig,
     UnimputableColumnError,
+    _pmm_donors,
     chain_diagnostics,
     fcs_impute,
     fit_norm_draw,
@@ -47,6 +49,26 @@ def counts_by_recipient(idx, n_targets, reps, n_obs):
         np.bincount(idx[t * reps:(t + 1) * reps], minlength=n_obs)
         for t in range(n_targets)
     ])
+
+
+def assert_full_sort_law(idx, eta_obs, targets, donors, reps, rng, context):
+    """Donors ``idx`` for ``reps`` recipients at each of ``targets`` come
+    only from the candidate set, reach every candidate, and have the
+    full-sort oracle's frequencies within 5 SE of a two-sample difference."""
+    n_obs = len(eta_obs)
+    new = counts_by_recipient(idx, len(targets), reps, n_obs)
+    old = counts_by_recipient(
+        full_sort_donors(eta_obs, np.repeat(targets, reps), donors, rng),
+        len(targets), reps, n_obs)
+    for t, target in enumerate(targets):
+        closer, tied = candidates(eta_obs, target, donors)
+        allowed = closer | tied
+        assert new[t, ~allowed].sum() == 0, (context, target)
+        assert (new[t, allowed] > 0).all(), (context, target)
+        p = (new[t] + old[t]) / (2 * reps)
+        se = np.sqrt(p * (1 - p) * 2 / reps)
+        gap = np.abs(new[t] - old[t]) / reps
+        assert (gap <= 5 * se + 1e-12).all(), (context, target)
 
 
 def masked(values, bits, names=None, logical=None):
@@ -160,23 +182,9 @@ class TestPmmDonors:
             eta_mis = np.repeat(targets, reps)
             for donors in sorted({1, (n_obs + 1) // 2, n_obs,
                                   int(rng.integers(1, n_obs + 1))}):
-                new = counts_by_recipient(
-                    pmm_donors(eta_obs, eta_mis, donors, rng),
-                    len(targets), reps, n_obs)
-                old = counts_by_recipient(
-                    full_sort_donors(eta_obs, eta_mis, donors, rng),
-                    len(targets), reps, n_obs)
-                for t, target in enumerate(targets):
-                    closer, tied = candidates(eta_obs, target, donors)
-                    allowed = closer | tied
-                    assert new[t, ~allowed].sum() == 0, (trial, donors, target)
-                    assert (new[t, allowed] > 0).all(), (trial, donors, target)
-                    # Same donor frequencies as the full sort, within 5 SE
-                    # of a two-sample difference.
-                    p = (new[t] + old[t]) / (2 * reps)
-                    se = np.sqrt(p * (1 - p) * 2 / reps)
-                    gap = np.abs(new[t] - old[t]) / reps
-                    assert (gap <= 5 * se + 1e-12).all(), (trial, donors, target)
+                assert_full_sort_law(pmm_donors(eta_obs, eta_mis, donors, rng),
+                                     eta_obs, targets, donors, reps, rng,
+                                     (trial, donors))
 
     def test_tie_run_past_the_window_is_uniform(self):
         # Runs of 3 * donors + 3 equal predictions at 0 and at 1: a
@@ -210,6 +218,9 @@ class TestPmmDonors:
         y = x[:n] @ [1.0, 2.0, 3.0] + rng.normal(size=n)
         x_obs, x_mis = x[:n].copy(), x[n:].copy()
         bound = 400 * (n + n)  # bytes
+        # The engine imports LAPACK on its first draw; keep that one-off
+        # import out of the traced peak when this test runs alone.
+        import scipy.linalg.lapack  # noqa: F401
         for args in ((y, x_obs, x_mis, donors, 1e-5),
                      # constant design: every prediction tied
                      (y, np.ones((n, 1)), np.ones((n, 1)), donors, 0.0)):
@@ -246,6 +257,34 @@ class TestPmmDonors:
     def test_donor_count_out_of_range(self):
         with pytest.raises(ValueError, match="donors=4"):
             pmm_donors(np.arange(3.0), np.zeros(1), 4, np.random.default_rng(0))
+
+    def test_non_finite_predictions_rejected(self):
+        with pytest.raises(ValueError, match="non-finite predictions"):
+            pmm_donors(np.array([0.0, np.nan]), np.zeros(1), 1,
+                       np.random.default_rng(0))
+
+    def test_batched_chains_match_full_sort_oracle(self):
+        # Three chains at once, each with its own integer-rounded (so
+        # heavily duplicated) predictions and its own generator. Each chain
+        # must equal a lone search from the same generator state, and its
+        # donor frequencies must match the full-sort oracle.
+        rng = np.random.default_rng(48)
+        m, n_obs, donors, reps = 3, 15, 4, 4000
+        eta_obs = np.round(rng.normal(scale=1.5, size=(m, n_obs)))
+        eta_obs[1, :6] = eta_obs[1, 0]  # a tie run longer than 2 * donors
+        eta_obs[2, 3:12] = 0.0
+        targets = np.arange(-3.0, 3.5, 0.5)
+        eta_mis = np.tile(np.repeat(targets, reps), (m, 1))
+        seeds = np.random.SeedSequence(49).spawn(m)
+        batched = _pmm_donors(eta_obs, eta_mis, donors,
+                              [np.random.default_rng(s) for s in seeds])
+        assert batched.shape == (m, len(targets) * reps)
+        for c in range(m):
+            alone = pmm_donors(eta_obs[c], eta_mis[c], donors,
+                               np.random.default_rng(seeds[c]))
+            assert np.array_equal(batched[c], alone)
+            assert_full_sort_law(batched[c], eta_obs[c], targets, donors, reps,
+                                 rng, c)
 
 
 class TestFcsImpute:
@@ -396,6 +435,135 @@ class TestFcsImpute:
         res = fcs_impute(d, ImputationConfig(m=5, maxit=50, method="norm", seed=27))
         for completed in res.completed:
             assert np.isfinite(completed).all()
+
+
+def sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+def engine_case():
+    """A small table with ties, ignored rows and logically missing cells."""
+    rng = np.random.default_rng(2024)
+    data = np.round(rng.normal(size=(40, 4)), 1)
+    bits = (rng.random((40, 4)) < 0.3).astype(np.uint8)
+    bits[:3] = 0
+    logical = np.zeros_like(bits)
+    logical[np.flatnonzero(bits[:, 2])[:2], 2] = 1
+    ignore = tuple(np.arange(40) >= 32)
+    return masked(data, bits, ("a", "b", "c", "d"), logical), ignore
+
+
+class FailingChain:
+    """A chain generator whose ``chisquare`` returns 0, an infinite residual
+    scale and so a non-finite draw, from its ``fail_at``-th call on (one
+    call per visited column and sweep)."""
+
+    def __init__(self, rng, fail_at):
+        self._rng, self._left = rng, fail_at
+
+    def chisquare(self, dof):
+        self._left -= 1
+        return 0.0 if self._left <= 0 else self._rng.chisquare(dof)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestEngine:
+    # Digests of the completed arrays and chain_means, recorded with the
+    # earlier engine that ran the chains one after another.
+    GOLDEN = {
+        "norm": ("3d0a670c1637c9c9a990e4943cd67d4a24e108c75521b7a7b697a7a6a94c6094",
+                 "d34543f1c281674e88fabfcb672af2fa66d56a14e761ea3b1b31ca1fea8e0212"),
+        "pmm": ("b6e6e25820d33fbbb4d22cc8c82e29bd76b89193165c620c1701454df3307e6e",
+                "cef2b4e96b0268579d28a2ec3fcffd81e7c6d60b57c1ef0b7d2f86e1f57a0d86"),
+    }
+
+    @pytest.mark.parametrize("method", ["norm", "pmm"])
+    def test_golden_digests(self, method):
+        d, ignore = engine_case()
+        res = fcs_impute(d, ImputationConfig(m=3, maxit=3, method=method, donors=3,
+                                             ignore=ignore, seed=99))
+        assert (sha256(np.stack(res.completed)), sha256(res.chain_means)) == (
+            self.GOLDEN[method])
+
+    @pytest.mark.parametrize("method", ["norm", "pmm"])
+    def test_chains_are_independent(self, method):
+        # Chain c draws from SeedSequence(seed).spawn(m)[c]. A seed sequence
+        # that has already spawned c children spawns that same sequence as
+        # its next one, so a one-chain run from it must give chain c.
+        d, ignore = engine_case()
+        seed, m = 7, 4
+        cfg = ImputationConfig(m=m, maxit=3, method=method, donors=3,
+                               ignore=ignore, seed=seed)
+        together = fcs_impute(d, cfg)
+        for c in range(m):
+            parent = np.random.SeedSequence(seed, n_children_spawned=c)
+            alone = fcs_impute(d, ImputationConfig(
+                m=1, maxit=3, method=method, donors=3, ignore=ignore, seed=parent))
+            assert parent.n_children_spawned == c + 1
+            assert np.array_equal(together.completed[c], alone.completed[0],
+                                  equal_nan=True)
+            assert np.array_equal(together.chain_means[c], alone.chain_means[0],
+                                  equal_nan=True)
+            assert np.array_equal(together.chain_sds[c], alone.chain_sds[0],
+                                  equal_nan=True)
+            models, lone = together.fitted_models[c], alone.fitted_models[0]
+            assert list(models) == list(lone)
+            assert all(np.array_equal(models[j], lone[j]) for j in models)
+
+    @pytest.mark.parametrize("method", ["norm", "pmm"])
+    def test_collinear_design_names_columns(self, method):
+        rng = np.random.default_rng(50)
+        base = rng.normal(size=60)
+        values = np.column_stack([base, rng.normal(size=60), 2 * base,
+                                  rng.normal(size=60)])
+        bits = np.zeros((60, 4), dtype=np.uint8)
+        bits[40:, 3] = 1
+        bits[:5, 1] = 1
+        with pytest.raises(CollinearityError) as info:
+            fcs_impute(masked(values, bits), ImputationConfig(
+                m=3, maxit=2, method=method, ridge=0.0, seed=1))
+        assert info.value.columns == (1,)
+
+    @pytest.mark.parametrize("method", ["norm", "pmm"])
+    def test_non_finite_draw_names_column_sweep_and_chain(self, method):
+        # Residuals near 1e160 square past the float range: every chain's
+        # residual scale, and so its draw, is infinite.
+        rng = np.random.default_rng(51)
+        values = np.column_stack([rng.normal(size=60), rng.normal(size=60) * 1e160])
+        bits = np.zeros((60, 2), dtype=np.uint8)
+        bits[:10, 1] = 1
+        with pytest.raises(FloatingPointError,
+                           match="column 'X2' at sweep 1 in chain 0"):
+            fcs_impute(masked(values, bits), ImputationConfig(
+                m=3, maxit=2, method=method, seed=2))
+
+    @pytest.mark.parametrize("fail_at, expected", [
+        # chain 0 first fails at sweep 2, chain 1 at sweep 1: sweep 1 wins
+        ((3, 1, None), "column 'X1' at sweep 1 in chain 1"),
+        # chains 0 and 2 fail at the same (sweep, column): the lower wins
+        ((2, None, 2), "column 'X3' at sweep 1 in chain 0"),
+        # the second visited column of sweep 2 comes before sweep 3
+        ((None, 6, 4), "column 'X3' at sweep 2 in chain 2"),
+    ])
+    def test_first_failing_sweep_and_column_then_lowest_chain(
+            self, monkeypatch, fail_at, expected):
+        rng = np.random.default_rng(52)
+        bits = (rng.random((80, 3)) < 0.2).astype(np.uint8)
+        bits[:, 1] = 0  # visited columns: X1, X3
+        d = masked(rng.normal(size=(80, 3)), bits)
+        real = np.random.default_rng
+        made = []
+
+        def default_rng(seed):
+            chain = FailingChain(real(seed), fail_at[len(made)] or 10**6)
+            made.append(chain)
+            return chain
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        with pytest.raises(FloatingPointError, match=expected):
+            fcs_impute(d, ImputationConfig(m=3, maxit=3, method="norm", seed=3))
 
 
 class TestChainDiagnostics:

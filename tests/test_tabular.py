@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from misslab.tabular import (
     DataMatrix,
@@ -177,6 +178,32 @@ class TestCsv:
         write_table(path, ("f", "i", "s"),
                     [(0.1, 3, "x"), (np.nan, np.int64(-2), "y,z"), (np.float64(2.0), 7, "")])
         assert path.read_text() == 'f,i,s\n0.1,3,x\n,-2,"y,z"\n2.0,7,\n'
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=arrays(
+        np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+        elements=st.one_of(
+            st.floats(allow_subnormal=True),
+            st.sampled_from([np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324,
+                             -2.225073858507201e-308, 1e16, 0.1]),
+        ),
+    ))
+    def test_float_array_rows_follow_the_cell_rule(self, tmp_path_factory, values):
+        # A float array takes the block path; its rows as lists take the
+        # cell-by-cell path through format_cell.
+        d = tmp_path_factory.mktemp("w")
+        header = [f"c{j}" for j in range(values.shape[1])]
+        write_table(d / "block.csv", header, values)
+        write_table(d / "cells.csv", header, values.tolist())
+        assert (d / "block.csv").read_bytes() == (d / "cells.csv").read_bytes()
+
+    def test_float_array_rows_across_blocks(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(2 * 4096 + 3, 3)) * 10.0 ** rng.integers(-300, 300, (1, 3))
+        values[rng.random(values.shape) < 0.3] = np.nan
+        write_table(tmp_path / "block.csv", "abc", values)
+        write_table(tmp_path / "cells.csv", "abc", values.tolist())
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
     def test_format_value_round_trips(self):
         for v in (0.1, 1 / 3, -2.5e-17, 123456.789):
