@@ -159,42 +159,47 @@ def _single_column_conditioning(bits: np.ndarray, report: DependenceReport):
 
     Uses the Mantel-Haenszel statistic across the two strata of a third
     column; a non-significant stratified test suggests the marginal
-    dependence is induced rather than direct.
+    dependence is induced rather than direct. A column with fewer than two
+    rows in a stratum (a constant one, say) conditions nothing.
     """
     from scipy import stats
 
-    p = bits.shape[1]
-    rates = bits.mean(axis=0)
-    out: list[tuple[int, int, str, str]] = []
-    for ps in report.significant_pairs(bonferroni=False):
-        for l in range(p):
-            if l in (ps.j, ps.k) or rates[l] in (0.0, 1.0):
-                continue
-            num = 0.0
-            den = 0.0
-            degenerate = False
-            for stratum in (0, 1):
-                rows = bits[:, l] == stratum
-                ns = int(rows.sum())
-                if ns < 2:
-                    degenerate = True
-                    break
-                mj = bits[rows, ps.j]
-                mk = bits[rows, ps.k]
-                a = float((mj & mk).sum())
-                r1 = float(mj.sum())
-                c1 = float(mk.sum())
-                if r1 in (0.0, ns) or c1 in (0.0, ns):
-                    continue  # stratum carries no information
-                num += a - r1 * c1 / ns
-                den += r1 * (ns - r1) * c1 * (ns - c1) / (ns * ns * (ns - 1))
-            if degenerate or den == 0.0:
-                continue
-            stat = num * num / den
-            pval = float(stats.chi2.sf(stat, 1))
-            if pval >= report.alpha:
-                out.append((ps.j, ps.k, f"given M{l + 1}", "independent"))
-    return tuple(out)
+    n, p = bits.shape
+    sig = report.significant_pairs(bonferroni=False)
+    if not sig or p < 3:
+        return ()
+    js = np.array([ps.j for ps in sig])
+    ks = np.array([ps.k for ps in sig])
+    # Exact 3-way counts, stratum 0 then 1 on the leading axis, per
+    # significant pair (rows) and column l (columns): ns rows with M_l in
+    # the stratum, r1 and c1 of them with M_j or M_k missing, a with both.
+    # Blocks of 2048 rows bound the memory of the pairs' joint indicators.
+    a1 = sum(np.einsum("nq,nl->ql", block[:, js] & block[:, ks], block, dtype=np.int64)
+             for block in np.array_split(bits, -(-n // 2048)))
+    m1 = np.einsum("nj,nl->jl", bits, bits, dtype=np.int64)
+    ns1 = m1.diagonal()
+    ns = np.stack([n - ns1, ns1])[:, None, :]
+    # ns * ns * (ns - 1) in Python integers, which cannot overflow.
+    scale = np.reshape([float(v * v * (v - 1)) for v in ns.ravel().tolist()], ns.shape)
+    a = np.stack([m1[js, ks, None] - a1, a1]).astype(float)
+    r1 = np.stack([ns1[js, None] - m1[js], m1[js]]).astype(float)
+    c1 = np.stack([ns1[ks, None] - m1[ks], m1[ks]]).astype(float)
+    # A stratum where M_j or M_k is constant carries no information.
+    informative = (r1 > 0) & (r1 < ns) & (c1 > 0) & (c1 < ns)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num = np.where(informative, a - r1 * c1 / ns, 0.0)
+        den = np.where(informative,
+                       r1 * (ns - r1) * c1 * (ns - c1) / scale, 0.0)
+    num, den = num[0] + num[1], den[0] + den[1]
+    tested = (ns >= 2).all(axis=0) & (den != 0.0)
+    rows = np.arange(len(sig))
+    tested[rows, js] = tested[rows, ks] = False
+    q, l = np.nonzero(tested)
+    stat = num[q, l] * num[q, l] / den[q, l]
+    pval = stats.chi2.sf(stat, 1)
+    return tuple((sig[i].j, sig[i].k, f"given M{c + 1}", "independent")
+                 for i, c, pv in zip(q.tolist(), l.tolist(), pval)
+                 if pv >= report.alpha)
 
 
 @dataclass(frozen=True)

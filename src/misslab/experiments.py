@@ -204,6 +204,7 @@ def _sim1_cell(
     test_missing: bool,
     cfg: ExperimentConfig,
     impute_seed: np.random.SeedSequence,
+    cell: str,
 ) -> float:
     n_train = cfg.n_train
     n = x.shape[0]
@@ -239,7 +240,7 @@ def _sim1_cell(
         ignore=tuple(ignore),
         seed=impute_seed,
     )
-    result = fcs_impute(dm, impcfg)
+    result = _impute_cell(dm, impcfg, cell)
     preds = np.empty((cfg.m, n - n_train))
     for k, completed in enumerate(result.completed):
         fit = ols_fit(y[:n_train], _with_intercept(completed[:n_train]))
@@ -268,6 +269,7 @@ def _sim1_replicate(cfg: ExperimentConfig, rep: int) -> list[dict]:
                 specs[name], x, _seed_seq(cfg, rho_idx, rep, 1, s_idx)
             )
             for t_idx, test_missing in enumerate((False, True)):
+                setting = "missing" if test_missing else "complete"
                 mse = _sim1_cell(
                     x,
                     y,
@@ -276,12 +278,14 @@ def _sim1_replicate(cfg: ExperimentConfig, rep: int) -> list[dict]:
                     test_missing,
                     cfg,
                     _seed_seq(cfg, rho_idx, rep, 2, s_idx, t_idx),
+                    f"study 1 at n_train={cfg.n_train}, rho={rho}, structure "
+                    f"{name}, test rows {setting}, replicate {rep}",
                 )
                 rows.append(
                     {
                         "rho": rho,
                         "structure": name,
-                        "test_missingness": "missing" if test_missing else "complete",
+                        "test_missingness": setting,
                         "replicate": rep,
                         "mse": mse,
                     }

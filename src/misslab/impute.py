@@ -22,6 +22,7 @@ reproducible and a chain's draws do not depend on the others.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -192,6 +193,14 @@ def _draw(y_obs, x_obs, x_mis, donors, ridge, rngs) -> RegressionDraw:
     return RegressionDraw(values, beta_hat, beta_star, sigma)
 
 
+def _quiet_draws() -> np.errstate:
+    """Silence NumPy's overflow, divide and invalid warnings. A draw that
+    goes non-finite raises :class:`_NonFiniteDraw`, so the warnings would
+    only print ahead of that error. Entered once per public call, not once
+    per draw."""
+    return np.errstate(over="ignore", divide="ignore", invalid="ignore")
+
+
 def _one_chain(y_obs, x_obs, x_mis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A lone chain's inputs, checked and given a leading chain axis."""
     y_obs = np.ascontiguousarray(y_obs, float)
@@ -219,7 +228,8 @@ def fit_norm_draw(
     fitted and drawn coefficients: the engine's draw for a single chain.
     """
     rng = np.random.default_rng() if rng is None else rng
-    return _first_chain(_draw(*_one_chain(y_obs, x_obs, x_mis), None, ridge, [rng]))
+    with _quiet_draws():
+        return _first_chain(_draw(*_one_chain(y_obs, x_obs, x_mis), None, ridge, [rng]))
 
 
 def _first_true(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -242,61 +252,92 @@ def _pmm_donors(eta_obs, eta_mis, donors: int, rngs) -> np.ndarray:
     from ``rngs[c]``.
 
     The chains' sorted predictions are laid end to end in one flat array,
-    so the window, the partition and the tie bisection run over all
-    m * n_mis recipients together; a recipient's index range never leaves
-    its own chain's block.
+    each block between a -inf and a +inf sentinel, so every step below is
+    one array operation over all m * n_mis recipients; a recipient's index
+    range never leaves its own chain's block, and an index one past either
+    end of it reads an infinite distance.
     """
     m, n_obs = eta_obs.shape
-    n_mis, k = eta_mis.shape[1], donors
+    n_mis, k = eta_mis.shape[1], operator.index(donors)
     if not 1 <= k <= n_obs:
         raise ValueError(f"donors={k} must lie in 1..{n_obs}")
     if n_mis == 0:
         return np.empty((m, 0), dtype=np.intp)
-    order = np.argsort(eta_obs, axis=1, kind="stable")
-    srt = np.take_along_axis(eta_obs, order, axis=1)
-    pos = np.concatenate([np.searchsorted(srt[c], eta_mis[c]) for c in range(m)])
+    order = np.zeros((m, n_obs + 2), dtype=np.intp)  # laid out as srt
+    order[:, 1:-1] = np.argsort(eta_obs, axis=1, kind="stable")
+    srt = np.empty((m, n_obs + 2))
+    srt[:, 0], srt[:, -1] = -np.inf, np.inf
+    srt[:, 1:-1] = np.take_along_axis(eta_obs, order[:, 1:-1], axis=1)
     srt, e = srt.ravel(), eta_mis.ravel()
-    first = np.repeat(np.arange(m) * n_obs, n_mis)  # each recipient's block
-    last = first + n_obs
-    width = min(2 * k, n_obs)
-    start = first + np.clip(pos - k, 0, n_obs - width)
-    dist = np.abs(srt[start[:, None] + np.arange(width)] - e[:, None])
-    d_k = np.partition(dist, k - 1, axis=1)[:, k - 1]
-    within = dist <= d_k[:, None]
-    closer = dist < d_k[:, None]
-    # Distances fall, then rise along the window, so the rows within d_k are
-    # the range [lo, hi) and the n_close rows closer than d_k are the range
-    # starting at lo_close inside it (lo_close is unused when n_close = 0).
-    lo = start + within.argmax(axis=1)
-    hi = lo + within.sum(axis=1)
-    lo_close = start + closer.argmax(axis=1)
-    n_close = closer.sum(axis=1)
+    first = np.repeat(np.arange(m) * (n_obs + 2) + 1, n_mis)  # row 0 of a block
 
-    # A tie that reaches the window edge may run on past it.
-    stop = start + width
-    wide = np.flatnonzero((lo == start) & (start > first))
-    wide = wide[np.abs(srt[start[wide] - 1] - e[wide]) <= d_k[wide]]
-    if wide.size:
-        ew, dw = e[wide], d_k[wide]
-        lo[wide] = _first_true(
-            lambda r, j: np.abs(srt[j] - ew[r]) <= dw[r], first[wide], start[wide],
-        )
-    wide = np.flatnonzero((hi == stop) & (stop < last))
-    wide = wide[np.abs(srt[stop[wide]] - e[wide]) <= d_k[wide]]
-    if wide.size:
-        ew, dw = e[wide], d_k[wide]
-        hi[wide] = _first_true(
-            lambda r, j: np.abs(srt[j] - ew[r]) > dw[r], stop[wide], last[wide],
-        )
+    # Binary lifting: each step adds 2^b to every count whose next 2^b rows
+    # all lie below the recipient (a step that would pass the block reads
+    # its +inf sentinel). n_left is the number of rows below, as a
+    # left-sided ``searchsorted`` would give.
+    n_left = np.zeros(m * n_mis, dtype=np.intp)
+    for b in reversed(range(n_obs.bit_length())):
+        t = np.minimum(n_left + (1 << b), n_obs + 1)
+        n_left += (srt.take(first + (t - 1)) < e) << b
+    at = first + n_left  # the first row at or right of each recipient
+
+    def dist(j):
+        return np.abs(srt[j] - e)
+
+    def follow(rows, pred, lo, hi):
+        """The first index in ``[lo, hi)`` of each of ``rows`` whose
+        distance is ``pred(distance, d_k)``, else ``hi``."""
+        ew, dw = e[rows], d_k[rows]
+        return _first_true(lambda r, j: pred(np.abs(srt[j] - ew[r]), dw[r]), lo, hi)
+
+    # Distances fall, then rise along the sorted rows: L[t] = dist(at - 1 - t)
+    # and R[t] = dist(at + t) never decrease in t. The k nearest rows are
+    # the i nearest on the left and the k - i nearest on the right, for the
+    # least i from max(0, k - n_right) to i_max = min(k, n_left) with
+    # L[i] >= R[k - 1 - i]. That test holds at i_max, by the sentinel or by
+    # L[k] >= L[0] = R[-1], so binary lifting finds i in bit_length(k) steps
+    # that never probe past i_max. Left of ``at`` a distance is e - srt and
+    # right of it srt - e: the same value as |srt - e| to the bit, since
+    # rounding is symmetric.
+    i_max = np.minimum(n_left, k)
+    i = np.maximum(n_left + (k - n_obs), 0)
+    left_end, right_end = at - 1, at + (k - 1)
+    for b in reversed(range(k.bit_length())):
+        t = np.minimum(i + ((1 << b) - 1), i_max)
+        i += (e - srt.take(left_end - t) < srt.take(right_end - t) - e) << b
+    # The k nearest are [lo, hi); d_k is the larger of its end distances.
+    lo = at - i
+    hi = lo + k
+    inner_l, inner_r = dist(lo), dist(hi - 1)
+    d_k = np.maximum(inner_l, inner_r)
+    # The rows closer than d_k are [lo_close, hi_close): [lo, hi) without
+    # its ends at d_k. A second end row at d_k means a longer tie run.
+    lo_close = lo + ((inner_l >= d_k) & (lo < at))
+    hi_close = hi - ((inner_r >= d_k) & (hi > at))
+    run = np.flatnonzero((lo_close < at) & (dist(lo_close) >= d_k))
+    if run.size:
+        lo_close[run] = follow(run, np.less, lo_close[run] + 1, at[run])
+    run = np.flatnonzero((hi_close > at) & (dist(hi_close - 1) >= d_k))
+    if run.size:
+        hi_close[run] = follow(run, np.greater_equal, at[run], hi_close[run] - 1)
+    # The rows within d_k are [lo, hi), widened where a tie at d_k runs on.
+    run = np.flatnonzero(dist(lo - 1) <= d_k)
+    if run.size:
+        lo[run] = follow(run, np.less_equal, first[run], lo[run] - 1)
+    run = np.flatnonzero(dist(hi) <= d_k)
+    if run.size:
+        hi[run] = follow(run, np.greater, hi[run] + 1, first[run] + n_obs)
+    n_close = hi_close - lo_close
 
     u = np.concatenate([rng.integers(0, k, size=n_mis) for rng in rngs])
     pick = lo_close + u
-    ties = (u >= n_close).reshape(m, n_mis)
-    for c, rng in enumerate(rngs):
-        tied = c * n_mis + np.flatnonzero(ties[c])
-        n_c = n_close[tied]
-        v = lo[tied] + rng.integers(0, hi[tied] - lo[tied] - n_c)
-        pick[tied] = np.where(v < lo_close[tied], v, v + n_c)
+    tied = np.flatnonzero(u >= n_close)
+    n_c, lo_t = n_close[tied], lo[tied]
+    span = hi[tied] - lo_t - n_c
+    cut = np.searchsorted(tied, np.arange(m + 1) * n_mis).tolist()  # per chain
+    v = lo_t + np.concatenate([rng.integers(0, span[a:b])
+                               for rng, a, b in zip(rngs, cut, cut[1:])])
+    pick[tied] = np.where(v < lo_close[tied], v, v + n_c)
     return order.ravel()[pick].reshape(m, n_mis)
 
 
@@ -315,13 +356,15 @@ def pmm_donors(
     ``(donors - c) / (donors * t)``, as the set would.
 
     Distances ``|eta_obs - eta_mis|`` fall and then rise along the sorted
-    observed predictions, so the rows within ``d_k`` form one index range
-    around each recipient's insertion point, the closer rows a range inside
-    it, and the ``donors`` nearest lie among the ``2 * donors`` sorted
-    neighbours of that point. Only a tie that runs past those neighbours
-    (duplicate predictions) is followed further, by bisection.
-    Memory is O(n_mis * donors + n_obs); time is
-    O((n_obs + n_mis) log n_obs).
+    observed predictions, so the ``donors`` nearest rows are the ``i``
+    nearest left of a recipient's insertion point and the ``donors - i``
+    nearest right of it, the rows within ``d_k`` one index range around
+    them and the closer rows a range inside it. Bisection finds the
+    insertion points and then ``i``: O(log n_obs) and O(log donors) passes
+    over the recipients. Each range end then takes one comparison; only a
+    tie at ``d_k`` that runs past it (duplicate predictions) is followed
+    further, by bisection. Memory is O(n_mis + n_obs); time is
+    O(n_obs log n_obs + n_mis log n_obs).
     """
     eta_obs = np.asarray(eta_obs, float)
     eta_mis = np.asarray(eta_mis, float)
@@ -352,7 +395,8 @@ def fit_pmm_draw(
         raise ValueError(
             f"donors={donors} exceeds the {n_obs} observed rows available"
         )
-    return _first_chain(_draw(y_obs, x_obs, x_mis, donors, ridge, [rng]))
+    with _quiet_draws():
+        return _first_chain(_draw(y_obs, x_obs, x_mis, donors, ridge, [rng]))
 
 
 @dataclass(frozen=True)
@@ -461,28 +505,29 @@ def fcs_impute(x: DataMatrix, cfg: ImputationConfig) -> ImputationResult:
     chain_means = np.full((cfg.m, cfg.maxit, p), np.nan)
     chain_sds = np.full((cfg.m, cfg.maxit, p), np.nan)
     fitted: tuple[dict[int, np.ndarray], ...] = tuple({} for _ in rngs)
-    for it in range(cfg.maxit):
-        for j in visit:
-            rows, mis = fit_rows[j], mis_rows[j]
-            # Sparse columns can have fewer observed rows than the requested
-            # pool; matching still works with what exists.
-            donors = None if cfg.method == "norm" else min(cfg.donors, rows.size)
-            try:
-                draw = _draw(np.take(work[..., j], rows, axis=1),
-                             _design(stack, rows, j), _design(stack, mis, j),
-                             donors, cfg.ridge, rngs)
-            except _NonFiniteDraw as exc:
-                raise FloatingPointError(
-                    f"non-finite imputation for column {x.col_names[j]!r} "
-                    f"at sweep {it + 1} in chain {exc.chain}"
-                ) from None
-            work[:, mis, j] = draw.values
-            chain_means[:, it, j] = draw.values.mean(axis=1)
-            if mis.size >= 2:
-                chain_sds[:, it, j] = draw.values.std(axis=1, ddof=1)
-            if it == cfg.maxit - 1:
-                for models, beta in zip(fitted, draw.beta_hat):
-                    models[j] = beta
+    with _quiet_draws():
+        for it in range(cfg.maxit):
+            for j in visit:
+                rows, mis = fit_rows[j], mis_rows[j]
+                # Sparse columns can have fewer observed rows than the requested
+                # pool; matching still works with what exists.
+                donors = None if cfg.method == "norm" else min(cfg.donors, rows.size)
+                try:
+                    draw = _draw(np.take(work[..., j], rows, axis=1),
+                                 _design(stack, rows, j), _design(stack, mis, j),
+                                 donors, cfg.ridge, rngs)
+                except _NonFiniteDraw as exc:
+                    raise FloatingPointError(
+                        f"non-finite imputation for column {x.col_names[j]!r} "
+                        f"at sweep {it + 1} in chain {exc.chain}"
+                    ) from None
+                work[:, mis, j] = draw.values
+                chain_means[:, it, j] = draw.values.mean(axis=1)
+                if mis.size >= 2:
+                    chain_sds[:, it, j] = draw.values.std(axis=1, ddof=1)
+                if it == cfg.maxit - 1:
+                    for models, beta in zip(fitted, draw.beta_hat):
+                        models[j] = beta
     work[:, logical_cells] = np.nan
 
     return ImputationResult(

@@ -26,7 +26,64 @@ from misslab.mechanisms import (
 from misslab.tabular import DataMatrix, MissMask, write_table
 
 
+def loop_conditioning(bits, report):
+    """Reference for the conditional flags: the Mantel-Haenszel statistic
+    of each significant pair given each other column, one stratum at a
+    time in Python arithmetic, stratum 0 before stratum 1."""
+    from scipy import stats
+
+    out = []
+    for ps in report.significant_pairs(bonferroni=False):
+        for l in range(bits.shape[1]):
+            if l in (ps.j, ps.k):
+                continue
+            num = den = 0.0
+            degenerate = False
+            for stratum in (0, 1):
+                rows = bits[:, l] == stratum
+                ns = int(rows.sum())
+                if ns < 2:
+                    degenerate = True
+                    break
+                mj, mk = bits[rows, ps.j], bits[rows, ps.k]
+                a, r1, c1 = float((mj & mk).sum()), float(mj.sum()), float(mk.sum())
+                if r1 in (0.0, ns) or c1 in (0.0, ns):
+                    continue
+                num += a - r1 * c1 / ns
+                den += r1 * (ns - r1) * c1 * (ns - c1) / (ns * ns * (ns - 1))
+            if degenerate or den == 0.0:
+                continue
+            if float(stats.chi2.sf(num * num / den, 1)) >= report.alpha:
+                out.append((ps.j, ps.k, f"given M{l + 1}", "independent"))
+    return out
+
+
 class TestPairwiseDependence:
+    def test_conditional_flags_equal_loop_reference(self):
+        # Shared latent blocks, chains, a constant column, a copied column
+        # and tiny samples, at several thresholds.
+        rng = np.random.default_rng(14)
+        masks = []
+        for name in ("mcar_ws_block", "mcar_ws_seq", "mcar_ss_block", "mcar_u_2"):
+            spec = builtin_structures(name, 6, 0.3)
+            for n in (3, 40, 3000):
+                masks.append(simulate_mask(spec, rng.normal(size=(n, 6)), rng).bits)
+        for n in (2, 5, 60, 500):
+            latent = rng.random((n, 1)) < 0.4
+            bits = (rng.random((n, 5)) < np.where(latent, 0.8, 0.1)).astype(np.uint8)
+            bits[:, 3] = bits[:, 1]
+            bits[:, 4] = 1
+            masks.append(bits)
+        flagged = 0
+        for bits in masks:
+            for alpha in (0.01, 0.3, 0.9):
+                report = pairwise_dependence(MissMask(bits), alpha)
+                conditional = [f for f in report.conditional_flags
+                               if f[2] != "unconditional"]
+                assert conditional == loop_conditioning(bits, report)
+                flagged += len(conditional)
+        assert flagged > 20
+
     def test_type_one_error_rate_calibrated(self):
         rng = np.random.default_rng(12)
         bits = (rng.random((100_000, 20)) < 0.5).astype(np.uint8)

@@ -345,6 +345,20 @@ class TestExperimentVerb:
         assert "too small" in err
         assert not (tmp_path / "o").exists()
 
+    def test_sim1_sample_too_small_names_the_cell(self, tmp_path, capsys):
+        # Five training rows leave X9 unobserved among them under mcar_u_2.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n_train": 5, "n_test": 20}))
+        code = run(["experiment", "--id", "sim1", "--reps", 2, "--seed", 1,
+                    "--config", config, "--out", tmp_path / "o"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert ("study 1 at n_train=5, rho=0.0, structure mcar_u_2, test rows "
+                "complete, replicate 0: column 'X9' (index 8) has no observed "
+                "values among fitting rows") in err
+        assert "too small" in err
+        assert not (tmp_path / "o").exists()
+
     def test_integer_spelling_writes_float_bytes(self, tmp_path):
         for name, grid in (("ints", [0, 0.5, 1]), ("floats", [0.0, 0.5, 1.0])):
             config = tmp_path / f"{name}.json"

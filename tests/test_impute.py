@@ -1,9 +1,12 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misslab.impute import (
     CollinearityError,
@@ -34,6 +37,57 @@ def full_sort_donors(eta_obs, eta_mis, donors, rng):
     order = np.argsort(shuffled, axis=1, kind="stable")[:, :donors]
     donor_idx = np.take_along_axis(perm, order, axis=1)
     return donor_idx[np.arange(n_mis), rng.integers(0, donors, size=n_mis)]
+
+
+def loop_donors(eta_obs, eta_mis, donors, rngs):
+    """Reference for ``_pmm_donors``, one recipient at a time: sort all of a
+    recipient's distances to find d_k, take the index ranges of the sorted
+    rows within and closer than d_k, then draw ``u`` and the tie draws from
+    each chain's generator exactly as the engine does. Quadratic in time."""
+    m, n_mis = eta_mis.shape
+    out = np.empty((m, n_mis), dtype=np.intp)
+    for c, rng in enumerate(rngs):
+        order = np.argsort(eta_obs[c], kind="stable")
+        srt = eta_obs[c][order]
+        lo, hi, lo_close, n_close = (np.zeros(n_mis, dtype=np.intp)
+                                     for _ in range(4))
+        for r, target in enumerate(eta_mis[c]):
+            dist = np.abs(srt - target)
+            d_k = np.sort(dist)[donors - 1]
+            within = np.flatnonzero(dist <= d_k)
+            closer = np.flatnonzero(dist < d_k)
+            # Distances fall, then rise along the sorted rows: both are ranges.
+            assert within[-1] + 1 - within[0] == within.size
+            assert closer.size == 0 or closer[-1] + 1 - closer[0] == closer.size
+            lo[r], hi[r] = within[0], within[-1] + 1
+            n_close[r] = closer.size
+            lo_close[r] = closer[0] if closer.size else 0
+        u = rng.integers(0, donors, size=n_mis)
+        pick = lo_close + u
+        tied = np.flatnonzero(u >= n_close)
+        v = lo[tied] + rng.integers(0, hi[tied] - lo[tied] - n_close[tied])
+        pick[tied] = np.where(v < lo_close[tied], v, v + n_close[tied])
+        out[c] = order[pick]
+    return out
+
+
+@st.composite
+def tie_heavy_searches(draw):
+    """Chains of predictions on a coarse grid (long runs of equal values,
+    distances tied on both sides), with recipients on a finer grid that
+    reaches past both ends, and any donor count from 1 to n_obs."""
+    m = draw(st.integers(1, 4))
+    n_obs = draw(st.integers(1, 30))
+    n_mis = draw(st.integers(1, 25))
+    donors = draw(st.integers(1, n_obs))
+    spread = draw(st.sampled_from([0, 1, 2, 4, 1000]))
+    grid = st.integers(-spread, spread)
+    eta_obs = np.array(draw(st.lists(grid, min_size=m * n_obs, max_size=m * n_obs)),
+                       dtype=float).reshape(m, n_obs)
+    targets = st.integers(-4 * spread - 4, 4 * spread + 4)
+    eta_mis = np.array(draw(st.lists(targets, min_size=m * n_mis, max_size=m * n_mis)),
+                       dtype=float).reshape(m, n_mis) / 2
+    return eta_obs, eta_mis, donors, draw(st.integers(0, 2**32 - 1))
 
 
 def candidates(eta_obs, target, donors):
@@ -169,6 +223,8 @@ class TestPmmDraw:
 
 
 class TestPmmDonors:
+    GOLDEN = "a7bef31b791ad747f6afb1cdfdc06c99cead98d7ed5976d49cb9f84c6ad9cfc3"
+
     def test_matches_full_sort_oracle_on_heavy_ties(self):
         # Integer predictions and half-integer recipients give ties on one
         # side and on both sides of a recipient, and runs of equal values
@@ -254,6 +310,12 @@ class TestPmmDonors:
                          np.random.default_rng(47))
         assert idx.tolist() == [0, 0, 0]
 
+    def test_numpy_integer_donor_count(self):
+        eta_obs, eta_mis = np.arange(6.0), np.array([0.4, 2.5, 9.0])
+        idx = [pmm_donors(eta_obs, eta_mis, donors, np.random.default_rng(5))
+               for donors in (3, np.int64(3))]
+        assert np.array_equal(*idx)
+
     def test_donor_count_out_of_range(self):
         with pytest.raises(ValueError, match="donors=4"):
             pmm_donors(np.arange(3.0), np.zeros(1), 4, np.random.default_rng(0))
@@ -285,6 +347,42 @@ class TestPmmDonors:
             assert np.array_equal(batched[c], alone)
             assert_full_sort_law(batched[c], eta_obs[c], targets, donors, reps,
                                  rng, c)
+
+    @given(tie_heavy_searches())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_loop_reference(self, case):
+        eta_obs, eta_mis, donors, seed = case
+        seeds = np.random.SeedSequence(seed).spawn(len(eta_obs))
+        got = _pmm_donors(eta_obs, eta_mis, donors,
+                          [np.random.default_rng(s) for s in seeds])
+        want = loop_donors(eta_obs, eta_mis, donors,
+                           [np.random.default_rng(s) for s in seeds])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_obs, donors", [(1, 1), (9, 9), (40, 3)])
+    def test_equals_loop_reference_at_the_edges(self, n_obs, donors):
+        # One observed row, every row a donor, and a run of 20 equal
+        # predictions (longer than 2 * donors) with recipients on it, beside
+        # it, and beyond both ends.
+        rng = np.random.default_rng(55)
+        eta_obs = np.round(rng.normal(scale=2.0, size=(2, n_obs)))
+        eta_obs[:, :n_obs // 2] = 1.0
+        eta_mis = np.tile(np.arange(-12.0, 12.5, 0.5), (2, 1))
+        seeds = np.random.SeedSequence(56).spawn(2)
+        got = _pmm_donors(eta_obs, eta_mis, donors,
+                          [np.random.default_rng(s) for s in seeds])
+        want = loop_donors(eta_obs, eta_mis, donors,
+                           [np.random.default_rng(s) for s in seeds])
+        assert np.array_equal(got, want)
+
+    def test_golden_digest(self):
+        # Recorded with the earlier search over 2 * donors-wide windows.
+        rng = np.random.default_rng(57)
+        eta_obs = np.round(rng.normal(scale=2.0, size=(3, 60)))
+        eta_obs[1, 10:40] = 0.0
+        eta_mis = np.round(rng.normal(scale=4.0, size=(3, 3000)), 1)
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(58).spawn(3)]
+        assert sha256(_pmm_donors(eta_obs, eta_mis, 5, rngs)) == self.GOLDEN
 
 
 class TestFcsImpute:
@@ -526,18 +624,40 @@ class TestEngine:
                 m=3, maxit=2, method=method, ridge=0.0, seed=1))
         assert info.value.columns == (1,)
 
-    @pytest.mark.parametrize("method", ["norm", "pmm"])
-    def test_non_finite_draw_names_column_sweep_and_chain(self, method):
+    @staticmethod
+    def overflowing_case():
         # Residuals near 1e160 square past the float range: every chain's
         # residual scale, and so its draw, is infinite.
         rng = np.random.default_rng(51)
         values = np.column_stack([rng.normal(size=60), rng.normal(size=60) * 1e160])
         bits = np.zeros((60, 2), dtype=np.uint8)
         bits[:10, 1] = 1
+        return values, bits
+
+    @pytest.mark.parametrize("method", ["norm", "pmm"])
+    def test_non_finite_draw_names_column_sweep_and_chain(self, method):
+        values, bits = self.overflowing_case()
         with pytest.raises(FloatingPointError,
                            match="column 'X2' at sweep 1 in chain 0"):
             fcs_impute(masked(values, bits), ImputationConfig(
                 m=3, maxit=2, method=method, seed=2))
+
+    def test_non_finite_draw_raises_without_numpy_warnings(self):
+        values, bits = self.overflowing_case()
+        x = design(values[:, 0])
+        y_obs, x_obs, x_mis = values[10:, 1], x[10:], x[:10]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for method in ("norm", "pmm"):
+                with pytest.raises(FloatingPointError):
+                    fcs_impute(masked(values, bits), ImputationConfig(
+                        m=3, maxit=2, method=method, seed=2))
+            with pytest.raises(FloatingPointError):
+                fit_norm_draw(y_obs, x_obs, x_mis, rng=np.random.default_rng(2))
+            with pytest.raises(FloatingPointError):
+                fit_pmm_draw(y_obs, x_obs, x_mis, rng=np.random.default_rng(2))
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []
 
     @pytest.mark.parametrize("fail_at, expected", [
         # chain 0 first fails at sweep 2, chain 1 at sweep 1: sweep 1 wins
@@ -548,7 +668,7 @@ class TestEngine:
         ((None, 6, 4), "column 'X3' at sweep 2 in chain 2"),
     ])
     def test_first_failing_sweep_and_column_then_lowest_chain(
-            self, monkeypatch, fail_at, expected):
+            self, monkeypatch, recwarn, fail_at, expected):
         rng = np.random.default_rng(52)
         bits = (rng.random((80, 3)) < 0.2).astype(np.uint8)
         bits[:, 1] = 0  # visited columns: X1, X3
@@ -564,6 +684,7 @@ class TestEngine:
         monkeypatch.setattr(np.random, "default_rng", default_rng)
         with pytest.raises(FloatingPointError, match=expected):
             fcs_impute(d, ImputationConfig(m=3, maxit=3, method="norm", seed=3))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestChainDiagnostics:
