@@ -12,8 +12,6 @@ from .tabular import (
     PatternSummary,
     pattern_summary,
     read_csv,
-    sort_for_display,
-    split_obs_mis,
     write_csv,
 )
 from .mechanisms import (
@@ -67,8 +65,6 @@ __all__ = [
     "PatternSummary",
     "pattern_summary",
     "read_csv",
-    "sort_for_display",
-    "split_obs_mis",
     "write_csv",
     "Comparison",
     "EvaluationError",

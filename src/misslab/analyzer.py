@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tabular import DataMatrix, MissMask
+from .tabular import DataMatrix, MissMask, monotone_rows
 
 # scipy.stats is imported inside the functions that use it: the import takes
 # about a second, which every command-line verb would otherwise pay.
@@ -59,6 +59,7 @@ class PairStat:
 class DependenceReport:
     pairs: tuple[PairStat, ...]
     sign_matrix: np.ndarray
+    # (j, k, "given M<l>", "independent"): column l explains the pair away.
     conditional_flags: tuple[tuple[int, int, str, str], ...]
     alpha: float
     n_rows: int
@@ -81,20 +82,6 @@ class DependenceReport:
         ]
 
 
-def _tables(bits: np.ndarray):
-    m = bits.astype(np.int64)
-    o = 1 - m
-    return m.T @ m, m.T @ o, o.T @ m, o.T @ o  # (1,1) (1,0) (0,1) (0,0)
-
-
-def _chi2_table(a: float, b: float, c: float, d: float) -> float:
-    n = a + b + c + d
-    denom = (a + b) * (c + d) * (a + c) * (b + d)
-    if denom == 0:
-        return 0.0
-    return n * (a * d - b * c) ** 2 / denom
-
-
 def pairwise_dependence(m: MissMask, alpha: float = ALPHA_DEFAULT) -> DependenceReport:
     """Test every pair of mask columns for association.
 
@@ -111,51 +98,45 @@ def pairwise_dependence(m: MissMask, alpha: float = ALPHA_DEFAULT) -> Dependence
     n, p = bits.shape
     if n < 2:
         raise ValueError("pairwise dependence needs at least two rows")
-    n11, n10, n01, n00 = _tables(bits)
-    rates = bits.mean(axis=0)
-    constant = (rates == 0.0) | (rates == 1.0)
+    both = m.pair_counts()
+    miss = both.diagonal()
+    constant = (miss == 0) | (miss == n)
+    # Pairs j < k in row-major order; each 2x2 table by integer subtraction:
+    # a rows with both missing, b with only M_j, c with only M_k, d neither.
+    j, k = np.triu_indices(p, 1)
+    a = both[j, k]
+    b, c = miss[j] - a, miss[k] - a
+    d = n - miss[j] - c
+    undetermined = constant[j] | constant[k]
+    # A constant column leaves a zero cell too, so no margin below is zero.
+    zero = np.minimum(np.minimum(a, b), np.minimum(c, d)) == 0
+    a, b, c, d = (np.where(zero, v + 0.5, v) for v in (a, b, c, d))
+    odds = (a * d) / (b * c)
+    # float_power is C pow, as Python's float ** 2 is; above 2**53 that is
+    # not always the correctly rounded x * x.
+    stat = (a + b + c + d) * np.float_power(a * d - b * c, 2) / (
+        (a + b) * (c + d) * (a + c) * (b + d))
+    pval = stats.chi2.sf(stat, 1)
+    significant = (pval < alpha) & ~undetermined
+    sign = np.where(significant, np.where(odds > 1.0, SIGN_POSITIVE, SIGN_NEGATIVE),
+                    np.where(undetermined, SIGN_UNDETERMINED, SIGN_NONE)).astype(object)
+    flag = np.where(undetermined, "undetermined",
+                    np.where(zero, "degenerate", "")).astype(object)
+    values = np.stack([odds, stat, pval]).astype(object)
+    values[:, undetermined] = np.nan
 
-    pairs: list[PairStat] = []
-    sign_matrix = np.full((p, p), SIGN_NONE, dtype=object)
-    np.fill_diagonal(sign_matrix, SIGN_UNDETERMINED)
-    flags: list[tuple[int, int, str, str]] = []
-    for j in range(p):
-        for k in range(j + 1, p):
-            if constant[j] or constant[k]:
-                ps = PairStat(j, k, np.nan, np.nan, np.nan,
-                              SIGN_UNDETERMINED, "undetermined")
-                pairs.append(ps)
-                sign_matrix[j, k] = sign_matrix[k, j] = SIGN_UNDETERMINED
-                flags.append((j, k, "unconditional", "undetermined"))
-                continue
-            a, b = float(n11[j, k]), float(n10[j, k])
-            c, d = float(n01[j, k]), float(n00[j, k])
-            flag = ""
-            if min(a, b, c, d) == 0.0:
-                flag = "degenerate"
-                a, b, c, d = a + 0.5, b + 0.5, c + 0.5, d + 0.5
-            odds = (a * d) / (b * c)
-            stat = _chi2_table(a, b, c, d)
-            pval = float(stats.chi2.sf(stat, 1))
-            if pval < alpha:
-                sign = SIGN_POSITIVE if odds > 1.0 else SIGN_NEGATIVE
-            else:
-                sign = SIGN_NONE
-            pairs.append(PairStat(j, k, odds, stat, pval, sign, flag))
-            sign_matrix[j, k] = sign_matrix[k, j] = sign
-            flags.append(
-                (j, k, "unconditional",
-                 "dependent" if pval < alpha else "independent")
-            )
-
-    report = DependenceReport(tuple(pairs), sign_matrix, tuple(flags), alpha, n)
-    extra = _single_column_conditioning(bits, report)
-    return DependenceReport(tuple(pairs), sign_matrix, tuple(flags) + extra,
-                            alpha, n)
+    sign_matrix = np.full((p, p), SIGN_UNDETERMINED, dtype=object)
+    sign_matrix[j, k] = sign_matrix[k, j] = sign
+    pairs = tuple(map(PairStat, j.tolist(), k.tolist(), *values.tolist(),
+                      sign.tolist(), flag.tolist()))
+    flags = _single_column_conditioning(bits, both, j[significant], k[significant], alpha)
+    return DependenceReport(pairs, sign_matrix, flags, alpha, n)
 
 
-def _single_column_conditioning(bits: np.ndarray, report: DependenceReport):
-    """For significant pairs, note any single mask column that explains them.
+def _single_column_conditioning(bits: np.ndarray, both: np.ndarray,
+                                js: np.ndarray, ks: np.ndarray, alpha: float):
+    """For the significant pairs ``(js, ks)``, note any single mask column
+    that explains them; ``both`` is the mask's pair-count matrix.
 
     Uses the Mantel-Haenszel statistic across the two strata of a third
     column; a non-significant stratified test suggests the marginal
@@ -165,25 +146,21 @@ def _single_column_conditioning(bits: np.ndarray, report: DependenceReport):
     from scipy import stats
 
     n, p = bits.shape
-    sig = report.significant_pairs(bonferroni=False)
-    if not sig or p < 3:
+    if not len(js) or p < 3:
         return ()
-    js = np.array([ps.j for ps in sig])
-    ks = np.array([ps.k for ps in sig])
     # Exact 3-way counts, stratum 0 then 1 on the leading axis, per
     # significant pair (rows) and column l (columns): ns rows with M_l in
     # the stratum, r1 and c1 of them with M_j or M_k missing, a with both.
     # Blocks of 2048 rows bound the memory of the pairs' joint indicators.
     a1 = sum(np.einsum("nq,nl->ql", block[:, js] & block[:, ks], block, dtype=np.int64)
              for block in np.array_split(bits, -(-n // 2048)))
-    m1 = np.einsum("nj,nl->jl", bits, bits, dtype=np.int64)
-    ns1 = m1.diagonal()
+    ns1 = both.diagonal()
     ns = np.stack([n - ns1, ns1])[:, None, :]
     # ns * ns * (ns - 1) in Python integers, which cannot overflow.
     scale = np.reshape([float(v * v * (v - 1)) for v in ns.ravel().tolist()], ns.shape)
-    a = np.stack([m1[js, ks, None] - a1, a1]).astype(float)
-    r1 = np.stack([ns1[js, None] - m1[js], m1[js]]).astype(float)
-    c1 = np.stack([ns1[ks, None] - m1[ks], m1[ks]]).astype(float)
+    a = np.stack([both[js, ks, None] - a1, a1]).astype(float)
+    r1 = np.stack([ns1[js, None] - both[js], both[js]]).astype(float)
+    c1 = np.stack([ns1[ks, None] - both[ks], both[ks]]).astype(float)
     # A stratum where M_j or M_k is constant carries no information.
     informative = (r1 > 0) & (r1 < ns) & (c1 > 0) & (c1 < ns)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -192,14 +169,15 @@ def _single_column_conditioning(bits: np.ndarray, report: DependenceReport):
                        r1 * (ns - r1) * c1 * (ns - c1) / scale, 0.0)
     num, den = num[0] + num[1], den[0] + den[1]
     tested = (ns >= 2).all(axis=0) & (den != 0.0)
-    rows = np.arange(len(sig))
+    rows = np.arange(len(js))
     tested[rows, js] = tested[rows, ks] = False
     q, l = np.nonzero(tested)
     stat = num[q, l] * num[q, l] / den[q, l]
     pval = stats.chi2.sf(stat, 1)
-    return tuple((sig[i].j, sig[i].k, f"given M{c + 1}", "independent")
-                 for i, c, pv in zip(q.tolist(), l.tolist(), pval)
-                 if pv >= report.alpha)
+    keep = pval >= alpha
+    return tuple((j, k, f"given M{c + 1}", "independent")
+                 for j, k, c in zip(js[q[keep]].tolist(), ks[q[keep]].tolist(),
+                                    l[keep].tolist()))
 
 
 @dataclass(frozen=True)
@@ -219,29 +197,22 @@ def sequential_signature(
     conditional P(later missing | earlier missing) strictly exceeds the
     backward one; it is vacuously true with no significant pairs.
     """
-    bits = m.bits
-    n, p = bits.shape
+    p = m.p
     ordering = tuple(int(j) for j in ordering)
     if sorted(ordering) != list(range(p)):
         raise ValueError("ordering must be a permutation of 0..p-1")
-    arranged = bits[:, list(ordering)]
-    seen = np.maximum.accumulate(arranged, axis=1)
-    monotone_rows = ~np.any((arranged == 0) & (seen == 1), axis=1)
-    fraction = float(monotone_rows.mean())
+    fraction = float(monotone_rows(m.bits, ordering).mean())
 
-    pos = {j: t for t, j in enumerate(ordering)}
-    forward = True
-    report = pairwise_dependence(m, alpha)
-    for ps in report.significant_pairs():
-        early, late = (ps.j, ps.k) if pos[ps.j] < pos[ps.k] else (ps.k, ps.j)
-        me = bits[:, early].astype(bool)
-        ml = bits[:, late].astype(bool)
-        lagged = (me & ml).sum() / max(me.sum(), 1)
-        lead = (me & ml).sum() / max(ml.sum(), 1)
-        if not lagged > lead:
-            forward = False
-            break
-    return SequentialSignature(fraction, forward)
+    pos = np.argsort(ordering)
+    sig = pairwise_dependence(m, alpha).significant_pairs()
+    j = np.array([ps.j for ps in sig], dtype=np.intp)
+    k = np.array([ps.k for ps in sig], dtype=np.intp)
+    early, late = np.where(pos[j] < pos[k], j, k), np.where(pos[j] < pos[k], k, j)
+    both = m.pair_counts()
+    miss = both.diagonal()
+    lagged = both[early, late] / np.maximum(miss[early], 1)
+    lead = both[early, late] / np.maximum(miss[late], 1)
+    return SequentialSignature(fraction, bool((lagged > lead).all()))
 
 
 @dataclass(frozen=True)
@@ -334,8 +305,6 @@ def summary_text(report: DependenceReport) -> str:
             f"  M{ps.j + 1} ~ M{ps.k + 1}: OR={ps.odds_ratio:.3g}, "
             f"chi2={ps.chi2:.3g}, p={ps.p_value:.3g}, sign={ps.sign}{deg}"
         )
-    induced = [f for f in report.conditional_flags if f[3] == "independent"
-               and f[2] != "unconditional"]
-    for j, k, cond, _ in induced:
+    for j, k, cond, _ in report.conditional_flags:
         lines.append(f"  M{j + 1} ~ M{k + 1} explained away {cond}")
     return "\n".join(lines) + "\n"

@@ -22,10 +22,22 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analyzer import REPORT_COLUMNS, pairwise_dependence, sequential_signature, summary_text
+from .analyzer import (
+    ALPHA_DEFAULT,
+    REPORT_COLUMNS,
+    pairwise_dependence,
+    sequential_signature,
+    summary_text,
+)
 from .experiments import EXPERIMENT_IDS, ExperimentConfig, run_experiment
 from .graphs import export_dot
-from .impute import ImputationConfig, chain_diagnostics, fcs_impute
+from .impute import (
+    DEFAULT_RIDGE,
+    METHODS,
+    ImputationConfig,
+    chain_diagnostics,
+    fcs_impute,
+)
 from .mechanisms import SpecificationError, classify, load_spec, simulate_mask
 from .tabular import (
     DataMatrix,
@@ -72,15 +84,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--mask", required=True)
     p.add_argument("--ordering", default=None, help="column order file (optional)")
     p.add_argument("--out", default=None, help="output prefix (report CSV + summary)")
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--alpha", type=float, default=ALPHA_DEFAULT)
 
     p = sub.add_parser("impute", help="multiply impute an incomplete CSV")
     p.add_argument("--data", required=True)
-    p.add_argument("--method", choices=("norm", "pmm"), default="pmm")
-    p.add_argument("--m", type=int, default=5)
-    p.add_argument("--maxit", type=int, default=5)
-    p.add_argument("--donors", type=int, default=5)
-    p.add_argument("--ridge", type=float, default=1e-5)
+    p.add_argument("--method", choices=METHODS, default=ImputationConfig.method)
+    p.add_argument("--m", type=int, default=ImputationConfig.m)
+    p.add_argument("--maxit", type=int, default=ImputationConfig.maxit)
+    p.add_argument("--donors", type=int, default=ImputationConfig.donors)
+    p.add_argument("--ridge", type=float, default=DEFAULT_RIDGE)
     p.add_argument("--ignore", default=None,
                    help="file with one 0/1 per row; 1 = exclude from fits")
     p.add_argument("--seed", type=int, default=None)

@@ -38,7 +38,7 @@ from .impute import (
 )
 from .inference import ols_fit, pool, predict_mse, replicate_metrics
 from .mechanisms import MechanismSpec, SpecificationError, classify, simulate_mask
-from .tabular import DataMatrix, MissMask, format_cell, write_table
+from .tabular import DataMatrix, MissMask, default_names, format_cell, write_table
 
 EXPERIMENT_IDS = ("sim1", "sim2", "sim3")
 
@@ -121,6 +121,23 @@ class ExperimentConfig:
             for q in self.q_grid:
                 if not (0.0 <= q <= 1.0):
                     raise ValueError(f"q={q} outside [0, 1]")
+        # Checks of the fields this study reads, ahead of any replicate.
+        read = _MANIFEST_FIELDS[self.experiment]
+        for name in ("rho_list", "structures", "q_grid", "maxit_list"):
+            if name in read and getattr(self, name) == ():
+                raise ValueError(f"{name} must list at least one value")
+        for name in ("maxit", "donors", "sim3_maxit"):
+            if name in read and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be a positive integer")
+        if "maxit_list" in read and min(self.maxit_list) < 1:
+            raise ValueError("maxit_list entries must be positive integers")
+        if "missing_rate" in read:
+            for name in self.structures:
+                try:
+                    builtin_structures(name, self.p, self.missing_rate)
+                except SpecificationError as exc:
+                    raise ValueError(f"missing_rate={self.missing_rate} for "
+                                     f"structure {name}: {exc}") from None
 
     def effective_q_grid(self) -> tuple[float, ...]:
         if self.q_grid is not None:
@@ -229,7 +246,7 @@ def _sim1_cell(
         pred = fit.predict(_with_intercept(x_eval))
         return float(np.mean((pred - y_eval) ** 2))
 
-    dm = DataMatrix(x.copy(), MissMask(bits), tuple(f"X{j+1}" for j in range(cfg.p)))
+    dm = DataMatrix(x.copy(), MissMask(bits), default_names(cfg.p))
     ignore = np.zeros(n, dtype=bool)
     ignore[n_train:] = True
     impcfg = ImputationConfig(

@@ -34,7 +34,7 @@ from typing import ClassVar, Mapping, Sequence, Union
 
 import numpy as np
 
-from .tabular import DataMatrix, MissMask
+from .tabular import DataMatrix, MissMask, default_names
 
 MCAR, MAR, MNAR = "MCAR", "MAR", "MNAR"
 UNSTRUCTURED, WEAK, STRONG = "unstructured", "weak", "strong"
@@ -508,7 +508,7 @@ class MechanismSpec:
     def names(self) -> tuple[str, ...]:
         if self.col_names is not None:
             return self.col_names
-        return tuple(f"X{j + 1}" for j in range(self.p))
+        return default_names(self.p)
 
     def validate(self) -> None:
         """Check reference ranges and acyclicity under the simulation order."""

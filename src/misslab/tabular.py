@@ -1,4 +1,4 @@
-"""Numeric tables with missing cells: masks, decompositions, pattern summaries.
+"""Numeric tables with missing cells: masks, pattern summaries, CSV interchange.
 
 The two core containers are :class:`MissMask` (a binary indicator matrix,
 1 = missing) and :class:`DataMatrix` (values plus mask plus column names).
@@ -70,6 +70,12 @@ class MissMask:
 
     def overall_rate(self) -> float:
         return float(self.bits.mean())
+
+    def pair_counts(self) -> np.ndarray:
+        """Exact (p, p) int64 counts of rows where both columns are missing;
+        the diagonal holds each column's missing count. Every 2x2 table of
+        two indicators follows from it by integer subtraction."""
+        return np.einsum("nj,nk->jk", self.bits, self.bits, dtype=np.int64)
 
     def logical_bits(self) -> np.ndarray:
         if self.logical is None:
@@ -150,26 +156,12 @@ def default_names(p: int) -> tuple[str, ...]:
     return tuple(f"X{j + 1}" for j in range(p))
 
 
-def split_obs_mis(d: DataMatrix):
-    """Decompose a matrix into observed cells and missing cell positions.
-
-    Returns ``(observed, missing)`` where ``observed`` is a list of
-    ``(row, col, value)`` triples and ``missing`` a list of ``(row, col)``
-    pairs; together they cover every cell exactly once.
-    """
-    obs_r, obs_c = np.nonzero(d.missing.bits == 0)
-    mis_r, mis_c = np.nonzero(d.missing.bits == 1)
-    observed = [(int(i), int(j), float(d.values[i, j])) for i, j in zip(obs_r, obs_c)]
-    missing = [(int(i), int(j)) for i, j in zip(mis_r, mis_c)]
-    return observed, missing
-
-
-def _is_monotone(bits: np.ndarray, ordering: Sequence[int]) -> bool:
-    # Monotone: under the ordering, each row's missing cells form a suffix.
+def monotone_rows(bits: np.ndarray, ordering: Sequence[int]) -> np.ndarray:
+    """Per row: do its missing cells form a suffix under ``ordering``? A row
+    fails iff an observed cell follows a missing one."""
     arranged = bits[:, list(ordering)]
-    # A row violates iff an observed cell follows a missing cell.
     seen_missing = np.maximum.accumulate(arranged, axis=1)
-    return not np.any((arranged == 0) & (seen_missing == 1))
+    return ~np.any((arranged == 0) & (seen_missing == 1), axis=1)
 
 
 def pattern_summary(
@@ -185,39 +177,17 @@ def pattern_summary(
     n, p = bits.shape
     if ordering is None:
         ordering = tuple(range(p))
-    patterns: dict[tuple[int, ...], int] = {}
-    for row in bits:
-        key = tuple(int(v) for v in row)
-        patterns[key] = patterns.get(key, 0) + 1
-    distinct = tuple(sorted(patterns.items()))
-    obs = (bits == 0).astype(np.int64)
-    jointly_observed = obs.T @ obs  # (j, k) -> rows with both observed
-    pairs = tuple(
-        (j, k)
-        for j in range(p)
-        for k in range(j + 1, p)
-        if jointly_observed[j, k] == 0
-    )
+    rows, counts = np.unique(bits, axis=0, return_counts=True)
+    both = m.pair_counts()
+    miss = both.diagonal()
+    j, k = np.triu_indices(p, 1)
+    never_together = n - miss[j] - miss[k] + both[j, k] == 0  # rows with both observed
     return PatternSummary(
-        distinct_patterns=distinct,
-        per_column_rate=bits.mean(axis=0),
-        monotone=_is_monotone(bits, ordering),
-        file_matching_pairs=pairs,
-    )
-
-
-def sort_for_display(m: MissMask) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column permutations ordering by increasing missing count.
-
-    Ties keep original index order. Sorting a mask this way tends to create
-    an impression of structure even for unstructured mechanisms, so this is
-    a display aid, not evidence.
-    """
-    row_counts = m.bits.sum(axis=1)
-    col_counts = m.bits.sum(axis=0)
-    return (
-        np.argsort(row_counts, kind="stable"),
-        np.argsort(col_counts, kind="stable"),
+        distinct_patterns=tuple(zip(map(tuple, rows.tolist()), counts.tolist())),
+        per_column_rate=m.column_rates(),
+        monotone=bool(monotone_rows(bits, ordering).all()),
+        file_matching_pairs=tuple(zip(j[never_together].tolist(),
+                                      k[never_together].tolist())),
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from misslab.analyzer import (
     REPORT_COLUMNS,
+    PairStat,
     VERDICT_DATA,
     VERDICT_STRUCTURED,
     VERDICT_UNSTRUCTURED,
@@ -24,6 +25,40 @@ from misslab.mechanisms import (
     simulate_mask,
 )
 from misslab.tabular import DataMatrix, MissMask, write_table
+
+
+def loop_pairs(bits, alpha):
+    """Reference for the pair tests: each pair j < k in turn, its 2x2 table
+    counted from the rows and tested in Python arithmetic. Returns the pairs
+    and the sign matrix."""
+    from scipy import stats
+
+    n, p = bits.shape
+    pairs = []
+    signs = np.full((p, p), "undetermined", dtype=object)
+    for j in range(p):
+        for k in range(j + 1, p):
+            mj, mk = bits[:, j] == 1, bits[:, k] == 1
+            if mj.all() or not mj.any() or mk.all() or not mk.any():
+                pairs.append(PairStat(j, k, np.nan, np.nan, np.nan,
+                                      "undetermined", "undetermined"))
+                continue
+            a, b = float((mj & mk).sum()), float((mj & ~mk).sum())
+            c, d = float((~mj & mk).sum()), float((~mj & ~mk).sum())
+            flag = ""
+            if min(a, b, c, d) == 0.0:
+                flag = "degenerate"
+                a, b, c, d = a + 0.5, b + 0.5, c + 0.5, d + 0.5
+            odds = (a * d) / (b * c)
+            total = a + b + c + d
+            stat = total * (a * d - b * c) ** 2 / ((a + b) * (c + d) * (a + c) * (b + d))
+            pval = float(stats.chi2.sf(stat, 1))
+            sign = "none"
+            if pval < alpha:
+                sign = "positive" if odds > 1.0 else "negative"
+            pairs.append(PairStat(j, k, odds, stat, pval, sign, flag))
+            signs[j, k] = signs[k, j] = sign
+    return pairs, signs
 
 
 def loop_conditioning(bits, report):
@@ -59,6 +94,34 @@ def loop_conditioning(bits, report):
 
 
 class TestPairwiseDependence:
+    def test_pairs_equal_loop_reference(self):
+        # Constant, copied and complemented columns, two rows, two columns,
+        # and copies at rate one half over 40 000 rows, where (ad - bc)^2
+        # passes 2**53 and is rounded.
+        rng = np.random.default_rng(15)
+        masks = [np.array([[0, 1], [1, 0]]), np.array([[1, 1], [0, 1]]),
+                 np.array([[0, 0], [1, 1]])]
+        for n in (2, 3, 30, 400, 5000):
+            for p in (2, 3, 6):
+                bits = (rng.random((n, p)) < rng.random(p)).astype(np.uint8)
+                bits[:, p - 1] = bits[:, 0] if n % 2 else 1 - bits[:, 0]
+                masks.append(bits)
+                masks.append(np.column_stack([bits, np.zeros(n, np.uint8),
+                                              np.ones(n, np.uint8)]))
+        for name in ("mcar_ws_block", "mcar_ss_seq", "mcar_u_2"):
+            spec = builtin_structures(name, 6, 0.3)
+            masks.append(simulate_mask(spec, rng.normal(size=(3000, 6)), rng).bits)
+        base = (rng.random(40_000) < 0.5).astype(np.uint8)
+        noise = (rng.random((40_000, 2)) < 0.002).astype(np.uint8)
+        masks.append(np.column_stack([base, base ^ noise[:, 0], 1 - base ^ noise[:, 1]]))
+        for bits in masks:
+            for alpha in (0.01, 0.3, 0.9):
+                report = pairwise_dependence(MissMask(bits), alpha)
+                pairs, signs = loop_pairs(bits, alpha)
+                assert [repr(astuple(ps)) for ps in report.pairs] == [
+                    repr(astuple(ps)) for ps in pairs]
+                assert np.array_equal(report.sign_matrix, signs)
+
     def test_conditional_flags_equal_loop_reference(self):
         # Shared latent blocks, chains, a constant column, a copied column
         # and tiny samples, at several thresholds.

@@ -318,6 +318,18 @@ class TestExperimentVerb:
         ("sim1", {"n_test": 0}, "n_test must be a positive integer"),
         ("sim2", {"n": 0}, ": n must be a positive integer"),
         ("sim3", {"n": -5}, ": n must be a positive integer"),
+        ("sim1", {"structures": []}, "structures must list at least one value"),
+        ("sim1", {"rho_list": []}, "rho_list must list at least one value"),
+        ("sim2", {"q_grid": []}, "q_grid must list at least one value"),
+        ("sim3", {"q_grid": []}, "q_grid must list at least one value"),
+        ("sim2", {"maxit_list": []}, "maxit_list must list at least one value"),
+        ("sim2", {"maxit_list": [0]}, "maxit_list entries must be positive integers"),
+        ("sim3", {"sim3_maxit": 0}, "sim3_maxit must be a positive integer"),
+        ("sim1", {"maxit": 0}, ": maxit must be a positive integer"),
+        ("sim1", {"missing_rate": 2},
+         "missing_rate=2.0 for structure complete: target rate must lie in [0, 1)"),
+        ("sim1", {"missing_rate": 0.6},
+         "missing_rate=0.6 for structure mcar_u_2: mcar_u_2 needs rate <= 0.5"),
     ])
     def test_empty_study_size_exits_one(self, tmp_path, capsys, experiment, override,
                                         message):

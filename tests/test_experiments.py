@@ -41,6 +41,11 @@ class TestConfigValidation:
             ExperimentConfig(experiment, m=1).validate()
         ExperimentConfig(experiment, m=2).validate()
 
+    @pytest.mark.parametrize("experiment", ["sim2", "sim3"])
+    def test_fields_a_study_does_not_read_are_not_checked(self, experiment):
+        ExperimentConfig(experiment, structures=(), rho_list=(), maxit=0,
+                         missing_rate=2.0).validate()
+
     def test_sim1_accepts_one_imputation(self):
         ExperimentConfig("sim1", m=1).validate()
         with pytest.raises(ValueError, match="^m must be a positive integer"):

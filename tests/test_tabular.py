@@ -11,8 +11,6 @@ from misslab.tabular import (
     pattern_summary,
     read_csv,
     read_mask_csv,
-    sort_for_display,
-    split_obs_mis,
     write_csv,
     write_mask_csv,
     write_table,
@@ -36,29 +34,21 @@ masks = st.integers(2, 6).flatmap(
 )
 
 
-class TestSplitObsMis:
-    def test_fully_observed(self):
-        obs, mis = split_obs_mis(dm(np.arange(4.0).reshape(2, 2), np.zeros((2, 2))))
-        assert len(obs) == 4 and mis == []
-
-    def test_fully_missing(self):
-        obs, mis = split_obs_mis(dm(np.zeros((2, 2)), np.ones((2, 2))))
-        assert obs == [] and len(mis) == 4
-
-    def test_checkerboard(self):
-        obs, mis = split_obs_mis(dm(np.ones((2, 2)), [[0, 1], [1, 0]]))
-        assert {(i, j) for i, j, _ in obs} == {(0, 0), (1, 1)}
-        assert set(mis) == {(0, 1), (1, 0)}
-
-    @given(masks)
-    @settings(max_examples=50, deadline=None)
-    def test_partition_covers_every_cell(self, bits):
-        bits = np.array(bits, dtype=np.uint8)
-        d = dm(np.zeros(bits.shape), bits)
-        obs, mis = split_obs_mis(d)
-        assert len(obs) + len(mis) == bits.size
-        cells = {(i, j) for i, j, _ in obs} | set(mis)
-        assert len(cells) == bits.size
+def loop_census(bits, ordering):
+    """Reference for the mask census, one row at a time: the pattern counts,
+    whether every row's missing cells form a suffix under ``ordering``, and
+    the column pairs no row observes together."""
+    patterns = {}
+    monotone = True
+    for row in bits.tolist():
+        patterns[tuple(row)] = patterns.get(tuple(row), 0) + 1
+        arranged = [row[j] for j in ordering]
+        if 1 in arranged and 0 in arranged[arranged.index(1):]:
+            monotone = False
+    p = bits.shape[1]
+    pairs = tuple((j, k) for j in range(p) for k in range(j + 1, p)
+                  if not any(row[j] == 0 and row[k] == 0 for row in bits.tolist()))
+    return tuple(sorted(patterns.items())), monotone, pairs
 
 
 class TestPatternSummary:
@@ -101,30 +91,17 @@ class TestPatternSummary:
         b = pattern_summary(MissMask(bits[perm]))
         assert a.distinct_patterns == b.distinct_patterns
 
-
-class TestSortForDisplay:
-    def test_orders_columns_by_rate(self):
-        bits = np.zeros((10, 3), dtype=np.uint8)
-        bits[:9, 0] = 1  # 0.9
-        bits[:1, 1] = 1  # 0.1
-        bits[:5, 2] = 1  # 0.5
-        _, cols = sort_for_display(MissMask(bits))
-        assert list(cols) == [1, 2, 0]
-
-    def test_stable_on_ties(self):
-        bits = np.ones((4, 3), dtype=np.uint8)
-        rows, cols = sort_for_display(MissMask(bits))
-        assert list(cols) == [0, 1, 2]
-        assert list(rows) == [0, 1, 2, 3]
-
-    def test_increasing_rate_mask_maps_to_identity(self):
-        from misslab.builtins import builtin_structures
-        from misslab.mechanisms import simulate_mask
-
-        x = np.random.default_rng(0).normal(size=(5000, 10))
-        mask = simulate_mask(builtin_structures("mcar_u_2"), x, seed=1)
-        _, cols = sort_for_display(mask)
-        assert list(cols) == list(range(10))
+    @given(masks, st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_row_loop_reference(self, bits, random):
+        bits = np.array(bits, dtype=np.uint8)
+        ordering = list(range(bits.shape[1]))
+        random.shuffle(ordering)
+        summary = pattern_summary(MissMask(bits), ordering)
+        reference = loop_census(bits, ordering)
+        assert repr((summary.distinct_patterns, summary.monotone,
+                     summary.file_matching_pairs)) == repr(reference)
+        assert summary.per_column_rate.tolist() == bits.mean(axis=0).tolist()
 
 
 class TestCsv:
