@@ -17,10 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .tabular import DataMatrix, MissMask, monotone_rows
+from .tabular import DataMatrix, MissMask, joint_counts, monotone_rows
 
-# scipy.stats is imported inside the functions that use it: the import takes
-# about a second, which every command-line verb would otherwise pay.
+# P-values come from scipy.special.chdtrc(1, x), which chi2.sf(x, 1) calls
+# for x >= 0 (every statistic here); scipy.stats takes about a second to
+# import, so only mcar_structure_audit (ttest_ind) imports it, where used.
 
 ALPHA_DEFAULT = 0.01
 
@@ -92,7 +93,7 @@ def pairwise_dependence(m: MissMask, alpha: float = ALPHA_DEFAULT) -> Dependence
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    from scipy import stats
+    from scipy.special import chdtrc
 
     bits = m.bits
     n, p = bits.shape
@@ -116,7 +117,7 @@ def pairwise_dependence(m: MissMask, alpha: float = ALPHA_DEFAULT) -> Dependence
     # not always the correctly rounded x * x.
     stat = (a + b + c + d) * np.float_power(a * d - b * c, 2) / (
         (a + b) * (c + d) * (a + c) * (b + d))
-    pval = stats.chi2.sf(stat, 1)
+    pval = chdtrc(1, stat)  # chi2.sf(stat, 1); stat >= 0, where the two agree
     significant = (pval < alpha) & ~undetermined
     sign = np.where(significant, np.where(odds > 1.0, SIGN_POSITIVE, SIGN_NEGATIVE),
                     np.where(undetermined, SIGN_UNDETERMINED, SIGN_NONE)).astype(object)
@@ -143,7 +144,7 @@ def _single_column_conditioning(bits: np.ndarray, both: np.ndarray,
     dependence is induced rather than direct. A column with fewer than two
     rows in a stratum (a constant one, say) conditions nothing.
     """
-    from scipy import stats
+    from scipy.special import chdtrc
 
     n, p = bits.shape
     if not len(js) or p < 3:
@@ -151,9 +152,7 @@ def _single_column_conditioning(bits: np.ndarray, both: np.ndarray,
     # Exact 3-way counts, stratum 0 then 1 on the leading axis, per
     # significant pair (rows) and column l (columns): ns rows with M_l in
     # the stratum, r1 and c1 of them with M_j or M_k missing, a with both.
-    # Blocks of 2048 rows bound the memory of the pairs' joint indicators.
-    a1 = sum(np.einsum("nq,nl->ql", block[:, js] & block[:, ks], block, dtype=np.int64)
-             for block in np.array_split(bits, -(-n // 2048)))
+    a1 = joint_counts(bits, js, ks)
     ns1 = both.diagonal()
     ns = np.stack([n - ns1, ns1])[:, None, :]
     # ns * ns * (ns - 1) in Python integers, which cannot overflow.
@@ -173,7 +172,7 @@ def _single_column_conditioning(bits: np.ndarray, both: np.ndarray,
     tested[rows, js] = tested[rows, ks] = False
     q, l = np.nonzero(tested)
     stat = num[q, l] * num[q, l] / den[q, l]
-    pval = stats.chi2.sf(stat, 1)
+    pval = chdtrc(1, stat)
     keep = pval >= alpha
     return tuple((j, k, f"given M{c + 1}", "independent")
                  for j, k, c in zip(js[q[keep]].tolist(), ks[q[keep]].tolist(),

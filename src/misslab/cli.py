@@ -40,12 +40,10 @@ from .impute import (
 )
 from .mechanisms import SpecificationError, classify, load_spec, simulate_mask
 from .tabular import (
-    DataMatrix,
-    MissMask,
     read_csv,
     read_mask_csv,
     read_ordering,
-    write_csv,
+    write_float_tables,
     write_mask_csv,
     write_table,
 )
@@ -210,21 +208,15 @@ def _cmd_impute(args) -> int:
     prefix = Path(args.out)
     if prefix.parent != Path(""):
         prefix.parent.mkdir(parents=True, exist_ok=True)
+    suffixes = [f".imp{k}.csv" for k in range(1, result.m + 1)]
+    write_float_tables([f"{prefix}{s}" for s in suffixes], data.col_names,
+                       result.completed)
+    diag = chain_diagnostics(result)
+    suffixes.append(".diagnostics.csv")
+    write_table(f"{prefix}{suffixes[-1]}", diag.columns, diag.rows)
     # Outputs are listed relative to the prefix so that the manifest does
     # not depend on where the run wrote its files.
-    outputs = []
-    for k, completed in enumerate(result.completed, start=1):
-        suffix = f".imp{k}.csv"
-        write_csv(
-            DataMatrix(completed, MissMask(np.isnan(completed).astype(np.uint8)),
-                       data.col_names),
-            f"{prefix}{suffix}",
-        )
-        outputs.append(f"<prefix>{suffix}")
-    diag = chain_diagnostics(result)
-    suffix = ".diagnostics.csv"
-    write_table(f"{prefix}{suffix}", diag.columns, diag.rows)
-    outputs.append(f"<prefix>{suffix}")
+    outputs = [f"<prefix>{s}" for s in suffixes]
     manifest = [
         "command: impute",
         f"code_version: misslab {__version__}",

@@ -65,9 +65,9 @@ def pool(
         except OverflowError:
             # Rubin's df grows without bound as B -> 0.
             df = np.inf
-    from scipy import stats  # slow to import; see misslab.analyzer
+    from scipy.special import stdtrit  # what t.ppf calls; see misslab.analyzer
 
-    crit = float(stats.t.ppf(0.5 * (1.0 + level), df))
+    crit = float(stdtrit(df, 0.5 * (1.0 + level)))
     half = crit * np.sqrt(t)
     return PooledEstimate(
         estimate=q_bar,

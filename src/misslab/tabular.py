@@ -9,6 +9,7 @@ stale value by accident; use the observed-cell accessors or an imputed copy.
 from __future__ import annotations
 
 import csv
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -20,6 +21,24 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
+
+
+# Rows per BLAS product in joint_counts: a block's counts are at most this,
+# far below 2**53, so float64 sums them exactly in any order.
+_COUNT_BLOCK_ROWS = 2048
+
+
+def joint_counts(bits: np.ndarray, js: np.ndarray | None = None,
+                 ks: np.ndarray | None = None) -> np.ndarray:
+    """Exact int64 counts of rows where an indicator and column l of the 0/1
+    array ``bits`` are both 1. The indicators are the columns of ``bits``,
+    or ``bits[:, js] & bits[:, ks]``, built a block of rows at a time."""
+    out = np.zeros((bits.shape[1] if js is None else len(js), bits.shape[1]), np.int64)
+    for lo in range(0, len(bits), _COUNT_BLOCK_ROWS):
+        block = bits[lo:lo + _COUNT_BLOCK_ROWS].astype(np.float64)
+        left = block if js is None else block[:, js] * block[:, ks]
+        out += (left.T @ block).astype(np.int64)
+    return out
 
 
 def _binary(a, what: str) -> np.ndarray:
@@ -75,7 +94,7 @@ class MissMask:
         """Exact (p, p) int64 counts of rows where both columns are missing;
         the diagonal holds each column's missing count. Every 2x2 table of
         two indicators follows from it by integer subtraction."""
-        return np.einsum("nj,nk->jk", self.bits, self.bits, dtype=np.int64)
+        return joint_counts(self.bits)
 
     def logical_bits(self) -> np.ndarray:
         if self.logical is None:
@@ -213,35 +232,60 @@ def format_cell(v) -> str:
 
 # Rows of a float array formatted per block: bounds the text held at once.
 _FLOAT_BLOCK_ROWS = 4096
+# Files write_float_tables holds open at once, whatever the number of arrays.
+_OPEN_FILES = 64
 
 
-def _write_float_rows(fh, values: np.ndarray) -> None:
-    """The rows of a 2-D float array, exactly as :func:`format_cell` and the
-    CSV writer would give them: ``repr`` of each value, NaN as an empty
-    field (quoted, as the writer quotes a row that is one empty field, when
-    there is one column). No float repr needs quoting, and ``nan`` is the
-    only one containing that text."""
-    blank = '""' if values.shape[1] == 1 else ""
-    for lo in range(0, len(values), _FLOAT_BLOCK_ROWS):
-        # The C repr of a nested list formats every value by float repr.
-        text = repr(values[lo:lo + _FLOAT_BLOCK_ROWS].tolist())
-        fh.write(text[2:-2].replace("], [", "\n").replace(", ", ",")
-                 .replace("nan", blank) + "\n")
+def write_float_tables(paths: Sequence[str | Path], header: Sequence[str],
+                       arrays: Sequence[np.ndarray]) -> None:
+    """Write same-shape 2-D float arrays, one per path, to the bytes
+    :func:`write_table` gives their rows as lists. A block of rows at a time,
+    formatting a cell whose bits agree in every array (an observed value,
+    say) once for all of them."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    for at in range(0, len(arrays), _OPEN_FILES):
+        with ExitStack() as stack:
+            files = [stack.enter_context(open(path, "w", newline=""))
+                     for path in paths[at:at + _OPEN_FILES]]
+            _write_float_rows(files, header, arrays[at:at + _OPEN_FILES])
+
+
+def _float_text(values: np.ndarray) -> list[str]:
+    # The C repr of a list formats every value by float repr.
+    return repr(values.tolist())[1:-1].split(", ") if len(values) else []
+
+
+def _write_float_rows(files, header: Sequence[str], arrays: list[np.ndarray]) -> None:
+    for fh in files:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+    # NaN is an empty field, quoted when it is the whole row as the CSV
+    # writer quotes it. No float repr needs quoting; only NaN's holds "nan".
+    blank = '""' if arrays[0].shape[1] == 1 else ""
+    for lo in range(0, len(arrays[0]), _FLOAT_BLOCK_ROWS):
+        blocks = [a[lo:lo + _FLOAT_BLOCK_ROWS] for a in arrays]
+        bits = np.stack(blocks).view(np.uint64)
+        shared = (bits == bits[0]).all(axis=0)
+        own = ~shared
+        cells = np.empty(shared.shape, dtype=object)
+        cells[shared] = _float_text(blocks[0][shared])
+        for fh, block in zip(files, blocks):
+            cells[own] = _float_text(block[own])
+            fh.write("\n".join(map(",".join, cells.tolist())).replace("nan", blank) + "\n")
 
 
 def write_table(path: str | Path, header: Sequence[str],
                 rows: Iterable[Sequence] | np.ndarray) -> None:
     """Write a header row and then ``rows``, each cell by :func:`format_cell`.
 
-    A 2-D float64 array is written a block of rows at a time instead of
+    A 2-D float64 array goes through :func:`write_float_tables` instead of
     cell by cell, to the same bytes."""
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2:
+        write_float_tables([path], header, [rows])
+        return
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        if isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2:
-            _write_float_rows(fh, rows)
-        else:
-            w.writerows([format_cell(v) for v in row] for row in rows)
+        w.writerows([format_cell(v) for v in row] for row in rows)
 
 
 def _read_table(path: str | Path, parse, what: str) -> tuple[tuple[str, ...], list]:

@@ -13,7 +13,7 @@ import misslab
 from misslab.cli import dispatch
 from misslab.fixtures import sim3_spec
 from misslab.mechanisms import save_spec
-from misslab.tabular import DataMatrix, MissMask, write_csv
+from misslab.tabular import DataMatrix, MissMask, write_csv, write_mask_csv
 
 
 @pytest.fixture
@@ -433,12 +433,42 @@ def _subprocess_env() -> dict:
     return env
 
 
-def test_cli_import_skips_scipy_stats():
+def test_cli_import_skips_scipy_stats(tmp_path, data_file):
     # scipy.stats and scipy.linalg take about a second and half a second to
     # import; verbs that need no statistics or model fits must not pay for it.
     code = ("import misslab.cli, sys; "
             "assert not {'scipy.stats', 'scipy.linalg'} & set(sys.modules)")
     subprocess.run([sys.executable, "-c", code], check=True, env=_subprocess_env())
+    # Nor may analyze, impute or pool, run in a fresh interpreter, load
+    # scipy.stats.
+    rng = np.random.default_rng(1)
+    bits = (rng.random((300, 4)) < 0.3).astype(np.uint8)
+    bits[:, 1] = bits[:, 0] ^ (rng.random(300) < 0.1)  # a significant pair
+    write_mask_csv(MissMask(bits), tmp_path / "mask.csv")
+    (tmp_path / "order.txt").write_text("X2,X1,X4,X3\n")
+    data = np.loadtxt(data_file, delimiter=",", skiprows=1)
+    data[rng.random(data.shape) < 0.2] = np.nan
+    data[:, 0] = np.nan_to_num(data[:, 0])
+    write_csv(DataMatrix(data, MissMask(np.isnan(data)), ("Z", "X1", "X2")),
+              tmp_path / "incomplete.csv")
+    verbs = [
+        ["analyze", "--mask", tmp_path / "mask.csv"],
+        ["analyze", "--mask", tmp_path / "mask.csv", "--ordering", tmp_path / "order.txt",
+         "--out", tmp_path / "report"],
+        ["impute", "--data", tmp_path / "incomplete.csv", "--m", "2", "--maxit", "2",
+         "--seed", "3", "--out", tmp_path / "imp"],
+        ["impute", "--data", tmp_path / "incomplete.csv", "--method", "norm", "--m", "2",
+         "--maxit", "2", "--seed", "3", "--out", tmp_path / "norm"],
+    ]
+    code = ("import json, sys; from misslab.cli import dispatch; "
+            "from misslab.inference import pool; "
+            "assert [dispatch(v) for v in json.loads(sys.argv[1])] == [0, 0, 0, 0]; "
+            "assert pool([1.0, 2.0], [1.0, 1.0]).df > 0; "
+            "assert 'scipy.stats' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code, json.dumps([[str(a) for a in v] for v in verbs])],
+                   check=True, env=_subprocess_env(), stdout=subprocess.DEVNULL)
+    # The pair is significant, so the conditioning pass ran too.
+    assert "M1 ~ M2:" in (tmp_path / "report.summary.txt").read_text()
 
 
 def test_module_entry_point_runs():

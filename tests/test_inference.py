@@ -70,6 +70,21 @@ class TestPool:
             assert pe.total == pe.within
         assert pe.ci_low <= pe.estimate <= pe.ci_high
 
+    @pytest.mark.parametrize("level", [0.90, 0.95, 0.99])
+    def test_interval_is_the_student_t_quantile(self, level):
+        # pool takes its quantile from scipy.special; it must give the bits
+        # stats.t.ppf gives, from df near 1 up to inf (equal estimates).
+        from scipy import stats
+        dfs = []
+        for m in (2, 3, 5, 20):
+            for spread in [0.0, *np.geomspace(1e-8, 1e4, 50)]:
+                pe = pool(spread * np.linspace(-1.0, 1.0, m), np.linspace(0.5, 2.0, m),
+                          level=level)
+                half = float(stats.t.ppf(0.5 * (1.0 + level), pe.df)) * np.sqrt(pe.total)
+                assert (pe.ci_low, pe.ci_high) == (pe.estimate - half, pe.estimate + half)
+                dfs.append(pe.df)
+        assert math.inf in dfs and min(dfs) < 1.5 and max(d for d in dfs if d < math.inf) > 1e15
+
     def test_interval_widens_with_between_variance(self):
         tight = pool([1.0, 1.01, 0.99], [0.1] * 3)
         loose = pool([0.5, 1.5, 1.0], [0.1] * 3)

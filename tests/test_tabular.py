@@ -1,17 +1,24 @@
+import csv
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from misslab import tabular
 from misslab.tabular import (
     DataMatrix,
     MissMask,
+    format_cell,
     format_value,
+    joint_counts,
     pattern_summary,
     read_csv,
     read_mask_csv,
     write_csv,
+    write_float_tables,
     write_mask_csv,
     write_table,
 )
@@ -182,9 +189,53 @@ class TestCsv:
         write_table(tmp_path / "cells.csv", "abc", values.tolist())
         assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_several_arrays_write_as_each_alone(self, tmp_path_factory, data):
+        # Arrays that share some cells (NaN among them) and differ in others,
+        # over blocks and file groups far smaller than the real ones, against
+        # each array written alone through the CSV writer and format_cell.
+        value = st.one_of(
+            st.floats(allow_subnormal=True),
+            st.sampled_from([np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324,
+                             -2.225073858507201e-308, 1e16, 0.1]),
+        )
+        n, p = data.draw(st.integers(0, 13)), data.draw(st.integers(0, 4))
+        base = data.draw(arrays(np.float64, (n, p), elements=value))
+        group = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            own = data.draw(arrays(np.bool_, (n, p)))
+            group.append(np.where(own, data.draw(arrays(np.float64, (n, p), elements=value)),
+                                  base))
+        d = tmp_path_factory.mktemp("w")
+        header = [f"c{j}" for j in range(p)]
+        paths = [d / f"imp{k}.csv" for k in range(len(group))]
+        with mock.patch.object(tabular, "_FLOAT_BLOCK_ROWS", data.draw(st.integers(1, 5))), \
+                mock.patch.object(tabular, "_OPEN_FILES", data.draw(st.integers(1, 3))):
+            write_float_tables(paths, header, group)
+        for path, values in zip(paths, group):
+            with open(d / "alone.csv", "w", newline="") as fh:
+                w = csv.writer(fh, lineterminator="\n")
+                w.writerow(header)
+                w.writerows([format_cell(v) for v in row] for row in values.tolist())
+            assert path.read_bytes() == (d / "alone.csv").read_bytes()
+
     def test_format_value_round_trips(self):
         for v in (0.1, 1 / 3, -2.5e-17, 123456.789):
             assert float(format_value(v)) == v
+
+
+def test_joint_counts_equal_integer_sums():
+    # Several count blocks, rows of the pairs' joint indicators included.
+    rng = np.random.default_rng(3)
+    bits = (rng.random((5000, 6)) < 0.4).astype(np.uint8)
+    js, ks = np.array([0, 0, 2, 4]), np.array([1, 3, 5, 5])
+    np.testing.assert_array_equal(
+        joint_counts(bits), np.einsum("nj,nk->jk", bits, bits, dtype=np.int64))
+    np.testing.assert_array_equal(
+        joint_counts(bits, js, ks),
+        np.einsum("nq,nl->ql", bits[:, js] & bits[:, ks], bits, dtype=np.int64))
+    assert joint_counts(bits[:0]).tolist() == [[0] * 6] * 6
 
 
 class TestInvariants:
