@@ -115,7 +115,7 @@ class _NonFiniteDraw(FloatingPointError):
 def _collinear(x_obs: np.ndarray) -> CollinearityError:
     """The error for a design whose normal equations cannot be factored:
     the columns a pivoted QR finds beyond the numerical rank."""
-    from scipy import linalg as sla  # slow to import; only imputation needs it
+    from scipy import linalg as sla  # slow to import; only this error path needs it
 
     n, k = x_obs.shape
     _, r, piv = sla.qr(x_obs, mode="economic", pivoting=True)
@@ -137,15 +137,13 @@ def _draw(y_obs, x_obs, x_mis, donors, ridge, rngs) -> RegressionDraw:
     conditional and the coefficients from their normal conditional, then
     the missing values, either ``x_mis @ beta_star + sigma * noise`` or by
     matching (:func:`pmm_donors`). Each chain draws from its own generator
-    in the order a lone chain would. The products and factorisations are
-    batched; the triangular solves run per chain in LAPACK.
+    in the order a lone chain would. The products, the factorisation and
+    the solves are batched NumPy calls over the chain axis.
 
     Raises :class:`CollinearityError` for the lowest chain whose equations
     cannot be factored and :class:`_NonFiniteDraw` for the lowest chain
     whose draw is not finite.
     """
-    from scipy.linalg.lapack import dpotrs, dtrtrs  # slow to import
-
     m, n_obs, k = x_obs.shape
     xt = x_obs.transpose(0, 2, 1)
     s = xt @ x_obs
@@ -161,19 +159,18 @@ def _draw(y_obs, x_obs, x_mis, donors, ridge, rngs) -> RegressionDraw:
             except np.linalg.LinAlgError:
                 raise _collinear(x_obs[c]) from None
         raise
-    xty = (xt @ y_obs[..., None])[..., 0]
+    beta_hat = np.linalg.solve(s, xt @ y_obs[..., None])[..., 0]
     dof = max(n_obs - k, 1)
-    beta_hat = np.empty((m, k))
-    step = np.empty((m, k))
     chi2 = np.empty(m)
+    z = np.empty((m, k, 1))
     noise = np.empty(x_mis.shape[:2])
     for c, rng in enumerate(rngs):
-        beta_hat[c] = dpotrs(chol[c], xty[c], lower=1)[0]
         chi2[c] = rng.chisquare(dof)
-        # solve(L^T, z) has covariance (L L^T)^-1 = S^-1, as required.
-        step[c] = dtrtrs(chol[c].T, rng.standard_normal(k))[0]
+        z[c, :, 0] = rng.standard_normal(k)
         if donors is None:
             noise[c] = rng.standard_normal(noise.shape[1])
+    # solve(L^T, z) has covariance (L L^T)^-1 = S^-1, as required.
+    step = np.linalg.solve(chol.transpose(0, 2, 1), z)[..., 0]
     fit = (x_obs @ beta_hat[..., None])[..., 0]
     sigma = np.sqrt(((y_obs - fit) ** 2).sum(axis=1) / chi2)
     beta_star = beta_hat + sigma[:, None] * step
@@ -332,11 +329,15 @@ def _pmm_donors(eta_obs, eta_mis, donors: int, rngs) -> np.ndarray:
     u = np.concatenate([rng.integers(0, k, size=n_mis) for rng in rngs])
     pick = lo_close + u
     tied = np.flatnonzero(u >= n_close)
-    n_c, lo_t = n_close[tied], lo[tied]
-    span = hi[tied] - lo_t - n_c
-    cut = np.searchsorted(tied, np.arange(m + 1) * n_mis).tolist()  # per chain
-    v = lo_t + np.concatenate([rng.integers(0, span[a:b])
-                               for rng, a, b in zip(rngs, cut, cut[1:])])
+    n_c, v = n_close[tied], lo[tied]
+    span = hi[tied] - v - n_c
+    # A tie of one row draws 0 without consuming bits, so only the wider
+    # ties go to the generators, and a chain with none makes no call.
+    wide = np.flatnonzero(span > 1)
+    cut = np.searchsorted(tied[wide], np.arange(m + 1) * n_mis).tolist()  # per chain
+    for rng, a, b in zip(rngs, cut, cut[1:]):
+        if b > a:
+            v[wide[a:b]] += rng.integers(0, span[wide[a:b]])
     pick[tied] = np.where(v < lo_close[tied], v, v + n_c)
     return order.ravel()[pick].reshape(m, n_mis)
 

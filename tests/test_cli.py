@@ -439,8 +439,10 @@ def test_cli_import_skips_scipy_stats(tmp_path, data_file):
     code = ("import misslab.cli, sys; "
             "assert not {'scipy.stats', 'scipy.linalg'} & set(sys.modules)")
     subprocess.run([sys.executable, "-c", code], check=True, env=_subprocess_env())
-    # Nor may analyze, impute or pool, run in a fresh interpreter, load
-    # scipy.stats.
+    # Nor may analyze, impute (either method) or pool, run in a fresh
+    # interpreter, load scipy.stats, nor they or a small sim1 study load
+    # scipy.linalg: the engine solves with numpy.linalg, and scipy.linalg
+    # is left to naming the columns of a singular design.
     rng = np.random.default_rng(1)
     bits = (rng.random((300, 4)) < 0.3).astype(np.uint8)
     bits[:, 1] = bits[:, 0] ^ (rng.random(300) < 0.1)  # a significant pair
@@ -462,9 +464,13 @@ def test_cli_import_skips_scipy_stats(tmp_path, data_file):
     ]
     code = ("import json, sys; from misslab.cli import dispatch; "
             "from misslab.inference import pool; "
+            "from misslab.experiments import ExperimentConfig, run_experiment; "
             "assert [dispatch(v) for v in json.loads(sys.argv[1])] == [0, 0, 0, 0]; "
             "assert pool([1.0, 2.0], [1.0, 1.0]).df > 0; "
-            "assert 'scipy.stats' not in sys.modules")
+            "assert not {'scipy.stats', 'scipy.linalg'} & set(sys.modules); "
+            "run_experiment(ExperimentConfig('sim1', n_replicates=1, seed=5, n_test=50, "
+            "structures=('mcar_u_1',), rho_list=(0.0,), threads=1)); "
+            "assert not {'scipy.stats', 'scipy.linalg'} & set(sys.modules)")
     subprocess.run([sys.executable, "-c", code, json.dumps([[str(a) for a in v] for v in verbs])],
                    check=True, env=_subprocess_env(), stdout=subprocess.DEVNULL)
     # The pair is significant, so the conditioning pass ran too.

@@ -12,6 +12,7 @@ from misslab.impute import (
     CollinearityError,
     ImputationConfig,
     UnimputableColumnError,
+    _draw,
     _pmm_donors,
     chain_diagnostics,
     fcs_impute,
@@ -274,9 +275,6 @@ class TestPmmDonors:
         y = x[:n] @ [1.0, 2.0, 3.0] + rng.normal(size=n)
         x_obs, x_mis = x[:n].copy(), x[n:].copy()
         bound = 400 * (n + n)  # bytes
-        # The engine imports LAPACK on its first draw; keep that one-off
-        # import out of the traced peak when this test runs alone.
-        import scipy.linalg.lapack  # noqa: F401
         for args in ((y, x_obs, x_mis, donors, 1e-5),
                      # constant design: every prediction tied
                      (y, np.ones((n, 1)), np.ones((n, 1)), donors, 0.0)):
@@ -348,16 +346,23 @@ class TestPmmDonors:
             assert_full_sort_law(batched[c], eta_obs[c], targets, donors, reps,
                                  rng, c)
 
+    @staticmethod
+    def assert_equals_loop_reference(eta_obs, eta_mis, donors, seeds):
+        # The same donors, and every generator left in the same state as by
+        # the reference, which makes a tie draw for every tied recipient.
+        engine = [np.random.default_rng(s) for s in seeds]
+        loop = [np.random.default_rng(s) for s in seeds]
+        assert np.array_equal(_pmm_donors(eta_obs, eta_mis, donors, engine),
+                              loop_donors(eta_obs, eta_mis, donors, loop))
+        assert ([r.bit_generator.state for r in engine]
+                == [r.bit_generator.state for r in loop])
+
     @given(tie_heavy_searches())
     @settings(max_examples=400, deadline=None)
     def test_equals_loop_reference(self, case):
         eta_obs, eta_mis, donors, seed = case
-        seeds = np.random.SeedSequence(seed).spawn(len(eta_obs))
-        got = _pmm_donors(eta_obs, eta_mis, donors,
-                          [np.random.default_rng(s) for s in seeds])
-        want = loop_donors(eta_obs, eta_mis, donors,
-                           [np.random.default_rng(s) for s in seeds])
-        assert np.array_equal(got, want)
+        self.assert_equals_loop_reference(
+            eta_obs, eta_mis, donors, np.random.SeedSequence(seed).spawn(len(eta_obs)))
 
     @pytest.mark.parametrize("n_obs, donors", [(1, 1), (9, 9), (40, 3)])
     def test_equals_loop_reference_at_the_edges(self, n_obs, donors):
@@ -368,12 +373,21 @@ class TestPmmDonors:
         eta_obs = np.round(rng.normal(scale=2.0, size=(2, n_obs)))
         eta_obs[:, :n_obs // 2] = 1.0
         eta_mis = np.tile(np.arange(-12.0, 12.5, 0.5), (2, 1))
-        seeds = np.random.SeedSequence(56).spawn(2)
-        got = _pmm_donors(eta_obs, eta_mis, donors,
-                          [np.random.default_rng(s) for s in seeds])
-        want = loop_donors(eta_obs, eta_mis, donors,
-                           [np.random.default_rng(s) for s in seeds])
-        assert np.array_equal(got, want)
+        self.assert_equals_loop_reference(eta_obs, eta_mis, donors,
+                                          np.random.SeedSequence(56).spawn(2))
+
+    @pytest.mark.parametrize("scale", [None, 1.0, 3.0])
+    def test_tie_draws_only_where_a_tie_spans_rows(self, scale):
+        # Distinct predictions (no tie wider than one row, so no tie draw
+        # at all), then integer-rounded ones, where some chains' tied
+        # recipients all have one-row ties and others have wider ones.
+        rng = np.random.default_rng(59)
+        eta_obs = rng.normal(size=(4, 55))
+        eta_mis = rng.normal(size=(4, 495))
+        if scale is not None:
+            eta_obs, eta_mis = np.round(eta_obs * scale), np.round(eta_mis * scale, 1)
+        self.assert_equals_loop_reference(eta_obs, eta_mis, 5,
+                                          np.random.SeedSequence(60).spawn(4))
 
     def test_golden_digest(self):
         # Recorded with the earlier search over 2 * donors-wide windows.
@@ -551,6 +565,27 @@ def engine_case():
     return masked(data, bits, ("a", "b", "c", "d"), logical), ignore
 
 
+def lapack_draw(y_obs, x_obs, x_mis, ridge, rng, norm):
+    """Reference for one chain of ``_draw``, solving with scipy's LAPACK
+    wrappers as the engine once did: ``dpotrs`` on the Cholesky factor for
+    beta_hat and ``dtrtrs`` on its transpose for the step. Returns beta_hat,
+    the step, sigma and, for ``norm``, the drawn values."""
+    from scipy.linalg.lapack import dpotrs, dtrtrs
+
+    n_obs, k = x_obs.shape
+    s = x_obs.T @ x_obs
+    d = np.arange(k)
+    s[d, d] += ridge * s[d, d]
+    chol = np.linalg.cholesky(s)
+    beta_hat = dpotrs(chol, x_obs.T @ y_obs, lower=1)[0]
+    chi2 = rng.chisquare(max(n_obs - k, 1))
+    step = dtrtrs(chol.T, rng.standard_normal(k))[0]
+    sigma = np.sqrt(((y_obs - x_obs @ beta_hat) ** 2).sum() / chi2)
+    values = (x_mis @ (beta_hat + sigma * step)
+              + sigma * rng.standard_normal(len(x_mis))) if norm else None
+    return beta_hat, step, sigma, values
+
+
 class FailingChain:
     """A chain generator whose ``chisquare`` returns 0, an infinite residual
     scale and so a non-finite draw, from its ``fail_at``-th call on (one
@@ -568,11 +603,15 @@ class FailingChain:
 
 
 class TestEngine:
-    # Digests of the completed arrays and chain_means, recorded with the
-    # earlier engine that ran the chains one after another.
+    # Digests of the completed arrays and chain_means. pmm was recorded with
+    # the earlier engine that ran the chains one after another. norm was
+    # re-recorded when the normal equations moved from scipy's per-chain
+    # dpotrs/dtrtrs to batched numpy.linalg.solve: beta_hat, and with it
+    # every norm draw, moves in its last bits (test_solves_match_lapack_reference
+    # bounds the move); the pmm donors do not change.
     GOLDEN = {
-        "norm": ("3d0a670c1637c9c9a990e4943cd67d4a24e108c75521b7a7b697a7a6a94c6094",
-                 "d34543f1c281674e88fabfcb672af2fa66d56a14e761ea3b1b31ca1fea8e0212"),
+        "norm": ("6742bc284ec6a46d60dc34fe84c310306e152cafbdd5df6b8d1776b16dd155f9",
+                 "6232af201631db67343d3bdd5c40ec0b83f8ee4071f47806653ade25e8881de4"),
         "pmm": ("b6e6e25820d33fbbb4d22cc8c82e29bd76b89193165c620c1701454df3307e6e",
                 "cef2b4e96b0268579d28a2ec3fcffd81e7c6d60b57c1ef0b7d2f86e1f57a0d86"),
     }
@@ -584,6 +623,32 @@ class TestEngine:
                                              ignore=ignore, seed=99))
         assert (sha256(np.stack(res.completed)), sha256(res.chain_means)) == (
             self.GOLDEN[method])
+
+    @pytest.mark.parametrize("method", ["norm", "pmm"])
+    def test_solves_match_lapack_reference(self, method):
+        # Correlated columns and a pure-noise response, so the step is of
+        # the order of beta_hat. Chains differ in their designs.
+        rng = np.random.default_rng(61)
+        m, n_obs, n_mis, k = 4, 90, 30, 6
+        x = rng.normal(size=(m, n_obs + n_mis, k)) + rng.normal(size=(m, n_obs + n_mis, 1))
+        x[..., 0] = 1.0
+        y_obs = rng.normal(size=(m, n_obs))
+        x_obs, x_mis = x[:, :n_obs].copy(), x[:, n_obs:].copy()
+        seeds = np.random.SeedSequence(62).spawn(m)
+        donors = None if method == "norm" else 5
+        draw = _draw(y_obs, x_obs, x_mis, donors, 1e-5,
+                     [np.random.default_rng(s) for s in seeds])
+        for c, seed in enumerate(seeds):
+            beta_hat, step, sigma, values = lapack_draw(
+                y_obs[c], x_obs[c], x_mis[c], 1e-5, np.random.default_rng(seed),
+                method == "norm")
+            np.testing.assert_allclose(draw.beta_hat[c], beta_hat, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(draw.sigma[c], sigma, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                (draw.beta_star[c] - draw.beta_hat[c]) / draw.sigma[c], step,
+                rtol=0, atol=1e-12)
+            if values is not None:
+                np.testing.assert_allclose(draw.values[c], values, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("method", ["norm", "pmm"])
     def test_chains_are_independent(self, method):
