@@ -30,6 +30,7 @@ from .mechanisms import (
     classify,
     compose,
     load_spec,
+    mask_law,
     save_spec,
     simulate_mask,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "classify",
     "compose",
     "load_spec",
+    "mask_law",
     "save_spec",
     "simulate_mask",
     "BUILTIN_NAMES",

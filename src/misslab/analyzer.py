@@ -74,8 +74,10 @@ class DependenceReport:
                 return ps
         raise KeyError((j, k))
 
-    def significant_pairs(self, bonferroni: bool = True) -> list[PairStat]:
-        thr = self.alpha / len(self.pairs) if (bonferroni and self.pairs) else self.alpha
+    def significant_pairs(self) -> list[PairStat]:
+        """The determined pairs significant at the Bonferroni threshold:
+        alpha over all pairs, undetermined ones included."""
+        thr = self.alpha / len(self.pairs) if self.pairs else self.alpha
         return [
             ps
             for ps in self.pairs
@@ -228,7 +230,8 @@ def mcar_structure_audit(x: DataMatrix, alpha: float = ALPHA_DEFAULT) -> AuditRe
 
     Runs (a) all pairwise mask-column tests and (b) two-sample tests of each
     observed data column split by each other column's indicator. Verdicts
-    use a Bonferroni threshold within each family and are advisory:
+    use a Bonferroni threshold within each family (for the pairs, that of
+    ``DependenceReport.significant_pairs``) and are advisory:
     ``data-dependent`` dominates ``structured-indicators`` dominates
     ``consistent-with-unstructured``.
     """
@@ -259,12 +262,7 @@ def mcar_structure_audit(x: DataMatrix, alpha: float = ALPHA_DEFAULT) -> AuditRe
             data_rows.append((j, k, float(stat), float(pval)))
 
     evidence: list[str] = []
-    n_pairs = sum(1 for ps in report.pairs if ps.flag != "undetermined")
-    pair_thr = alpha / n_pairs if n_pairs else alpha
-    sig_pairs = [
-        ps for ps in report.pairs
-        if ps.flag != "undetermined" and ps.p_value < pair_thr
-    ]
+    sig_pairs = report.significant_pairs()
     data_thr = alpha / len(data_rows) if data_rows else alpha
     sig_data = [row for row in data_rows if row[3] < data_thr]
 

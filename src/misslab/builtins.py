@@ -231,43 +231,3 @@ def builtin_structures(name: str, p: int = 10, rate: float = 0.45) -> MechanismS
         declared_label=TaxonomyLabel(MCAR, STRONG, BLOCK, PROBABILISTIC, POSITIVE),
     )
 
-
-def expected_column_rates(name: str, p: int = 10, rate: float = 0.45) -> np.ndarray:
-    """Analytic per-column missingness rates for a builtin (test oracle)."""
-    if name == "complete":
-        return np.zeros(p)
-    if name == "mcar_u_1":
-        return np.full(p, rate)
-    if name == "mcar_u_2":
-        return np.linspace(0.0, 2.0 * rate, p)
-    if name == "mcar_u_3":
-        half = p // 2
-        return np.array([0.0] * half + [rate * p / (p - half)] * (p - half))
-    if name == "mcar_u_4":
-        return np.array([0.0] + [rate * p / (p - 1)] * (p - 1))
-    if name == "mcar_ws_block":
-        spec = builtin_structures(name, p, rate)
-        clause = spec.rules[0].clauses[0]
-        probs = clause.prob_map()
-        pi = spec.blocks[0].prob
-        val = pi * probs[(1,)] + (1 - pi) * probs[(0,)]
-        return np.full(p, val)
-    if name == "mcar_ws_seq":
-        spec = builtin_structures(name, p, rate)
-        b = spec.rules[0].clauses[0].prob_map()[()]
-        a = spec.rules[1].clauses[0].prob_map()[(1,)]
-        out = [b]
-        for _ in range(p - 1):
-            out.append(b + (a - b) * out[-1])
-        return np.array(out)
-    if name == "mcar_ss_block":
-        spec = builtin_structures(name, p, rate)
-        pi = spec.blocks[0].prob
-        return np.array([0.0] + [pi] * (p - 1))
-    if name == "mcar_ss_seq":
-        spec = builtin_structures(name, p, rate)
-        h = spec.rules[0].clauses[0].prob_map()[()]
-        return 1.0 - (1.0 - h) ** np.arange(1, p + 1)
-    if name == "unit_block":
-        return np.full(p, rate)
-    raise SpecificationError(f"unknown builtin {name!r}")

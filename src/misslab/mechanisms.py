@@ -677,6 +677,42 @@ def simulate_mask(
     return MissMask(mask, logical if logical.any() else None)
 
 
+def mask_law(spec: MechanismSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The exact joint law of the mask that ``simulate_mask`` draws.
+
+    Returns the distinct patterns, a (K, p) uint8 array in lexicographic
+    order, and their probabilities, a (K,) array; patterns of probability 0
+    are left out. The latent-block states are enumerated, and each column,
+    in ``simulation_order``, splits every state on its indicator with the
+    precedence ``simulate_mask`` applies. Only specs that read no data
+    column and no subject effect have a row-free law; others raise.
+    """
+    for rule in spec.rules:
+        for ref in rule.refs():
+            if ref.kind in ("data", "subject"):
+                what = (f"data column {ref.index}" if ref.kind == "data"
+                        else "the subject effect")
+                raise SpecificationError(f"rule for column {rule.target} reads "
+                                         f"{what}, so its mask law depends on the rows")
+    nb = len(spec.blocks)
+    blocks = (np.arange(2 ** nb)[:, None] >> np.arange(nb) & 1).astype(np.uint8)
+    block_probs = np.array([blk.prob for blk in spec.blocks])
+    weight = np.prod(np.where(blocks == 1, block_probs, 1.0 - block_probs), axis=1)
+    mask = np.zeros((len(weight), spec.p), dtype=np.uint8)
+    for j in spec.simulation_order:
+        ctx = _EvalContext(np.zeros_like(mask, dtype=float), mask, blocks.T, None)
+        prob, force1, force0, logic = rule_probabilities(spec.rules[j], ctx)
+        q = np.where(force1 | logic, 1.0, np.where(force0, 0.0, prob))
+        mask = np.concatenate([mask, mask])
+        mask[len(q):, j] = 1
+        weight = np.concatenate([weight * (1.0 - q), weight * q])
+        keep = weight > 0.0  # drop the states no row can reach
+        blocks = np.concatenate([blocks, blocks])[keep]
+        mask, weight = mask[keep], weight[keep]
+    patterns, inverse = np.unique(mask, axis=0, return_inverse=True)
+    return patterns, np.bincount(inverse.ravel(), weights=weight)
+
+
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
@@ -821,8 +857,9 @@ def compose(specs: Sequence[MechanismSpec]) -> MechanismSpec:
     """Combine mechanisms column-wise.
 
     A cell is missing if any component forces it or any component's
-    probabilistic rule fires (independent draws); forced-missing clauses
-    take precedence over probabilistic ones by evaluation order.
+    probabilistic rule fires (independent draws). Where clauses disagree,
+    logical beats force-to-1, which beats force-to-0, which beats the
+    probability, whatever the order of the components.
     """
     if not specs:
         raise SpecificationError("need at least one spec to compose")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import misslab
-from misslab.builtins import BUILTIN_NAMES, builtin_structures, expected_column_rates
+from misslab.builtins import BUILTIN_NAMES, builtin_structures
 from misslab.cli import dispatch
 from misslab.experiments import ExperimentConfig, run_sim1, run_sim2, run_sim3
 from misslab.fixtures import (
@@ -22,7 +22,7 @@ from misslab.fixtures import (
 )
 from misslab.impute import ImputationConfig, fcs_impute, fit_norm_draw, fit_pmm_draw
 from misslab.inference import pool, replicate_metrics
-from misslab.mechanisms import classify, save_spec, simulate_mask
+from misslab.mechanisms import classify, mask_law, save_spec, simulate_mask
 from misslab.tabular import DataMatrix, MissMask, pattern_summary, write_csv
 
 SEED = 20268
@@ -76,8 +76,10 @@ def test_criterion_1_mechanism_calibration():
         rate = mask.overall_rate()
         if abs(rate - 0.45) > 0.01:
             failures.append(f"{name}: {rate:.4f}")
-    mask = simulate_mask(builtin_structures("mcar_u_2"), x, seed=SEED + 2)
-    expect = expected_column_rates("mcar_u_2")
+    spec = builtin_structures("mcar_u_2")
+    mask = simulate_mask(spec, x, seed=SEED + 2)
+    patterns, probs = mask_law(spec)
+    expect = patterns.T @ probs
     got = mask.column_rates()
     for j in range(p):
         se = math.sqrt(expect[j] * (1 - expect[j]) / n_rows)

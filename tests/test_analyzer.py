@@ -68,7 +68,8 @@ def loop_conditioning(bits, report):
     from scipy import stats
 
     out = []
-    for ps in report.significant_pairs(bonferroni=False):
+    significant = [ps for ps in report.pairs if ps.p_value < report.alpha]
+    for ps in significant:
         for l in range(bits.shape[1]):
             if l in (ps.j, ps.k):
                 continue
@@ -281,3 +282,22 @@ class TestAudit:
         report = mcar_structure_audit(d)
         assert report.verdict == VERDICT_DATA
         assert any("shifts observed values" in e for e in report.evidence)
+
+    def test_pair_evidence_is_the_report_bonferroni(self):
+        # M1 is constant, so two of the three pairs are undetermined. The
+        # M2-M3 table has p = 0.0073: significant at alpha over the one
+        # determined pair, but not at alpha over all three pairs, the
+        # threshold of significant_pairs and summary_text.
+        tables = {(1, 1): 20, (1, 0): 50, (0, 1): 50, (0, 0): 280}
+        bits = np.zeros((400, 3), dtype=np.uint8)
+        bits[:, 1:] = np.repeat(np.array(list(tables)), list(tables.values()), axis=0)
+        values = np.random.default_rng(44).normal(size=bits.shape)
+        audit = mcar_structure_audit(DataMatrix(values, MissMask(bits), ("X1", "X2", "X3")))
+        report = audit.pairwise
+        assert 0.01 / 3 < report.pair(1, 2).p_value < 0.01
+        assert [e for e in audit.evidence if e.startswith("mask columns")] == [
+            f"mask columns {ps.j + 1} and {ps.k + 1} associated "
+            f"(p={ps.p_value:.3g}, sign={ps.sign})"
+            for ps in report.significant_pairs()
+        ]
+        assert audit.verdict == VERDICT_UNSTRUCTURED

@@ -5,40 +5,70 @@ import pytest
 
 from misslab.builtins import (
     BUILTIN_NAMES,
+    _chain_mean,
+    _dropout_mean,
     builtin_structures,
-    expected_column_rates,
 )
-from misslab.mechanisms import SpecificationError, classify, simulate_mask
+from misslab.mechanisms import SpecificationError, classify, mask_law, simulate_mask
 from misslab.tabular import pattern_summary
+
+
+def law_rates(name: str, p: int = 10, rate: float = 0.45) -> np.ndarray:
+    """Per-column missingness rates of a builtin, read from its exact law."""
+    patterns, probs = mask_law(builtin_structures(name, p, rate))
+    return patterns.T @ probs
 
 
 class TestCalibration:
     @pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if n != "complete"])
     def test_expected_overall_rate_hits_target(self, name):
-        rates = expected_column_rates(name)
-        assert abs(rates.mean() - 0.45) < 5e-4
+        for p in (2, 5, 10):
+            for rate in (0.45, 0.3):
+                assert abs(law_rates(name, p, rate).mean() - rate) < 1e-8
 
     def test_complete_is_all_zero(self):
-        assert expected_column_rates("complete").sum() == 0.0
+        patterns, probs = mask_law(builtin_structures("complete"))
+        assert patterns.tolist() == [[0] * 10] and probs.tolist() == [1.0]
 
     def test_climbing_rates_match_stated_sequence(self):
-        assert np.allclose(
-            expected_column_rates("mcar_u_2"), np.arange(10) / 10.0
-        )
+        assert np.allclose(law_rates("mcar_u_2"), np.arange(10) / 10.0)
 
     def test_half_zero_half_ninety(self):
-        rates = expected_column_rates("mcar_u_3")
+        rates = law_rates("mcar_u_3")
         assert np.allclose(rates[:5], 0.0)
         assert np.allclose(rates[5:], 0.9)
 
     def test_first_column_spared(self):
-        rates = expected_column_rates("mcar_u_4")
+        rates = law_rates("mcar_u_4")
         assert rates[0] == 0.0
         assert np.allclose(rates[1:], 0.5)
 
     def test_alternate_target_rate(self):
-        rates = expected_column_rates("mcar_ws_seq", rate=0.3)
-        assert abs(rates.mean() - 0.3) < 5e-4
+        rates = law_rates("mcar_ws_seq", rate=0.3)
+        assert abs(rates.mean() - 0.3) < 1e-8
+
+    @pytest.mark.parametrize("p", [2, 5, 10])
+    def test_calibration_means_equal_the_law(self, p):
+        # The bisection targets _chain_mean and _dropout_mean; the law,
+        # derived from the built spec alone, must agree with both.
+        seq = builtin_structures("mcar_ws_seq", p)
+        b = seq.rules[0].clauses[0].prob_map()[()]
+        a = seq.rules[1].clauses[0].prob_map()[(1,)]
+        drop = builtin_structures("mcar_ss_seq", p)
+        h = drop.rules[0].clauses[0].prob_map()[()]
+        for spec, mean in ((seq, _chain_mean(b, a, p)), (drop, _dropout_mean(h, p))):
+            patterns, probs = mask_law(spec)
+            assert abs((patterns.T @ probs).mean() - mean) < 1e-14
+
+    def test_unit_block_one_draw_sd(self):
+        # The SD of one 10 000 x 10 draw's overall rate, from the law's
+        # per-row missing counts, is the whole-row closed form.
+        n = 10_000
+        patterns, probs = mask_law(builtin_structures("unit_block"))
+        counts = patterns.sum(axis=1)
+        mean = probs @ counts
+        sd = math.sqrt((probs @ counts**2 - mean**2) / n) / patterns.shape[1]
+        assert abs(sd - math.sqrt(0.45 * 0.55 / n)) < 1e-12
 
     def test_unachievable_target_rejected(self):
         with pytest.raises(SpecificationError):
@@ -60,7 +90,7 @@ class TestSimulatedRates:
         n = 10_000
         x = np.random.default_rng(0).normal(size=(n, 10))
         mask = simulate_mask(builtin_structures("mcar_u_2"), x, seed=1)
-        expect = expected_column_rates("mcar_u_2")
+        expect = law_rates("mcar_u_2")
         got = mask.column_rates()
         for j in range(10):
             se = math.sqrt(expect[j] * (1 - expect[j]) / n)

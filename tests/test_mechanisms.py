@@ -33,6 +33,7 @@ from misslab.mechanisms import (
     TableClause,
     TaxonomyLabel,
     _EvalContext,
+    block_ref,
     classify,
     compose,
     data_col,
@@ -40,6 +41,7 @@ from misslab.mechanisms import (
     load_spec,
     loads_spec,
     mask_col,
+    mask_law,
     rule_probabilities,
     save_spec,
     simulate_mask,
@@ -157,6 +159,126 @@ class TestSimulateMask:
         assert mask.logical is not None
         assert np.array_equal(mask.logical[:, 2], np.array([1, 0, 1], dtype=np.uint8))
         assert np.all(mask.bits >= mask.logical_bits())
+
+
+def _reordered_spec() -> MechanismSpec:
+    """Simulated in the order 3, 1, 0, 2: each column reads indicators that
+    are simulated before it but stored after it."""
+    return MechanismSpec(
+        rules=(
+            MechanismRule(0, (ForceClause((Comparison(mask_col(1), "==", 1.0),), 1),
+                              TableClause.bernoulli(0.2))),
+            MechanismRule(1, (TableClause.from_dict((mask_col(3),), {(0,): 0.1, (1,): 0.7}),)),
+            MechanismRule(2, (LogisticClause(-1.0, ((mask_col(3), 1.5), (mask_col(0), -1.0))),)),
+            MechanismRule(3, (TableClause.bernoulli(0.4),)),
+        ),
+        simulation_order=(3, 1, 0, 2),
+    )
+
+
+def _force_conflict(reverse: bool = False) -> MechanismSpec:
+    """unit_block (every column forced missing on a block of 0.4) composed
+    with a spec that forces every column observed on its own block of 0.5
+    and is otherwise Bernoulli 0.2. Both forces fire on about a fifth of
+    the rows; ``reverse`` composes the two the other way round."""
+    held = MechanismSpec(
+        rules=tuple(
+            MechanismRule(j, (ForceClause((Comparison(block_ref(0), "==", 1.0),), 0),
+                              TableClause.bernoulli(0.2)))
+            for j in range(3)
+        ),
+        blocks=(LatentBlock(0.5),),
+    )
+    parts = [builtin_structures("unit_block", p=3, rate=0.4), held]
+    return compose(parts[::-1] if reverse else parts)
+
+
+def _law_cases() -> dict[str, MechanismSpec]:
+    cases = {
+        f"{name}-p{p}": builtin_structures(name, p)
+        for name in BUILTIN_NAMES
+        for p in (2, 5, 10)
+    }
+    fixtures = canonical_taxonomy_specs()
+    cases.update((name, fixtures[name]) for name in ("MCAR-U", "MCAR-WS", "MCAR-SS"))
+    cases["compose-ws_seq-ss_block"] = compose(
+        [builtin_structures("mcar_ws_seq", 5), builtin_structures("mcar_ss_block", 5)]
+    )
+    cases["simulation-order"] = _reordered_spec()
+    cases["force-conflict"] = _force_conflict()
+    cases["force-conflict-reversed"] = _force_conflict(reverse=True)
+    return cases
+
+
+LAW_CASES = _law_cases()
+
+
+def pattern_fit_pvalue(spec: MechanismSpec, n: int, seed: int) -> float:
+    """Pearson p-value of the pattern counts of ``n`` simulated rows against
+    ``mask_law(spec)``. Cells expected below 5 rows are pooled, smallest
+    first, until the pool expects at least 5. A drawn pattern outside the
+    law's support fails outright."""
+    from scipy.special import chdtrc
+
+    patterns, probs = mask_law(spec)
+    weights = 1 << np.arange(spec.p, dtype=np.int64)
+    keys = patterns.astype(np.int64) @ weights
+    drawn = simulate_mask(spec, np.zeros((n, spec.p)), seed).bits.astype(np.int64) @ weights
+    seen, counts = np.unique(drawn, return_counts=True)
+    outside = np.setdiff1d(seen, keys)
+    assert not len(outside), f"drawn patterns outside the law's support: {outside}"
+    order = np.argsort(keys)
+    observed = np.zeros(len(keys))
+    observed[order[np.searchsorted(keys[order], seen)]] = counts
+    by_size = np.argsort(n * probs, kind="stable")
+    expected, observed = n * probs[by_size], observed[by_size]
+    small = np.searchsorted(expected, 5.0)
+    pool = max(small, np.searchsorted(np.cumsum(expected), 5.0) + 1) if small else 0
+    if pool:
+        expected = np.concatenate([[expected[:pool].sum()], expected[pool:]])
+        observed = np.concatenate([[observed[:pool].sum()], observed[pool:]])
+    if len(expected) < 2:
+        return 1.0
+    return float(chdtrc(len(expected) - 1, ((observed - expected) ** 2 / expected).sum()))
+
+
+class TestMaskLaw:
+    @pytest.mark.parametrize("name", list(LAW_CASES))
+    def test_simulated_patterns_fit_the_law(self, name):
+        # One fixed seed for every case; at a floor of 1e-6 a false alarm
+        # over all cases has probability below 1e-4.
+        assert pattern_fit_pvalue(LAW_CASES[name], 50_000, seed=12) > 1e-6
+
+    def test_laws_are_distributions(self):
+        for name, spec in LAW_CASES.items():
+            patterns, probs = mask_law(spec)
+            assert patterns.dtype == np.uint8 and patterns.shape == (len(probs), spec.p)
+            assert len(np.unique(patterns, axis=0)) == len(probs), name
+            assert (probs > 0).all() and abs(probs.sum() - 1.0) < 1e-12, name
+
+    def test_whole_row_block(self):
+        patterns, probs = mask_law(builtin_structures("unit_block", p=4, rate=0.3))
+        assert patterns.tolist() == [[0] * 4, [1] * 4]
+        assert np.allclose(probs, [0.7, 0.3])
+        # A block that never fires leaves one pattern: its zero-weight
+        # states are dropped.
+        patterns, probs = mask_law(builtin_structures("unit_block", p=4, rate=0.0))
+        assert patterns.tolist() == [[0] * 4] and probs.tolist() == [1.0]
+
+    def test_compose_precedence_ignores_component_order(self):
+        # Force-to-1 beats force-to-0 beats the probability, whichever
+        # component's clauses come first: each column is missing with
+        # probability 0.4 + 0.6 * 0.5 * 0.2.
+        ahead, behind = mask_law(_force_conflict()), mask_law(_force_conflict(reverse=True))
+        assert np.array_equal(ahead[0], behind[0])
+        assert np.allclose(ahead[1], behind[1], rtol=1e-12, atol=0.0)
+        assert np.allclose(ahead[0].T @ ahead[1], 0.46, rtol=1e-12, atol=0.0)
+
+    def test_row_dependent_specs_rejected(self):
+        with pytest.raises(SpecificationError, match="column 1 reads data column 0"):
+            mask_law(canonical_taxonomy_specs()["MAR-UP"])
+        with pytest.raises(SpecificationError, match="reads the subject effect"):
+            mask_law(subject_effect_variant())
 
 
 class TestClassify:
