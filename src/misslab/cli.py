@@ -18,6 +18,7 @@ import json
 import sys
 from dataclasses import asdict, astuple
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .analyzer import (
     sequential_signature,
     summary_text,
 )
-from .experiments import EXPERIMENT_IDS, ExperimentConfig, run_experiment
 from .graphs import export_dot
 from .impute import (
     DEFAULT_RIDGE,
@@ -41,12 +41,16 @@ from .impute import (
 from .mechanisms import SpecificationError, classify, load_spec, simulate_mask
 from .tabular import (
     read_csv,
+    read_flags,
     read_mask_csv,
     read_ordering,
     write_float_tables,
     write_mask_csv,
     write_table,
 )
+
+if TYPE_CHECKING:
+    from .experiments import ExperimentConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -97,7 +101,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output prefix")
 
     p = sub.add_parser("experiment", help="run one of the simulation studies")
-    p.add_argument("--id", required=True, choices=EXPERIMENT_IDS)
+    p.add_argument("--id", required=True, help="sim1, sim2 or sim3")
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
@@ -171,18 +175,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _read_ignore(path: Path, n: int) -> tuple[bool, ...]:
-    tokens = [t for t in Path(path).read_text().split() if t]
-    if len(tokens) != n:
-        raise _UsageError(
-            f"--ignore: expected {n} rows of 0/1, found {len(tokens)}"
-        )
     try:
-        flags = tuple(int(t) for t in tokens)
-        if not set(flags) <= {0, 1}:
-            raise ValueError
-    except ValueError:
-        raise _UsageError("--ignore: entries must be 0 or 1") from None
-    return tuple(f == 1 for f in flags)
+        flags = read_flags(path)
+    except ValueError as exc:
+        raise _UsageError(f"--ignore: entries must be 0 or 1, one per line ({exc})") from None
+    if len(flags) != n:
+        raise _UsageError(f"--ignore: expected {n} rows of 0/1, found {len(flags)}")
+    return tuple(flags.astype(bool).tolist())
 
 
 def _cmd_impute(args) -> int:
@@ -236,6 +235,11 @@ def _cmd_impute(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .experiments import EXPERIMENT_IDS, run_experiment
+
+    if args.id not in EXPERIMENT_IDS:
+        raise _UsageError(f"--id: invalid choice {args.id!r} "
+                          f"(choose from {', '.join(EXPERIMENT_IDS)})")
     overrides = {}
     if args.config is not None:
         cfg_path = _require_file(args.config, "--config")
@@ -264,6 +268,8 @@ def _cmd_experiment(args) -> int:
 
 def config_from_mapping(values: dict) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from loosely typed key/values."""
+    from .experiments import ExperimentConfig
+
     values = dict(values)
     if "reps" in values:
         values["n_replicates"] = values.pop("reps")

@@ -20,7 +20,6 @@ rows are emitted in a deterministic order.
 from __future__ import annotations
 
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -559,6 +558,8 @@ def _map_replicates(fn, cfg: ExperimentConfig) -> list[dict]:
     if cfg.threads <= 1 or cfg.n_replicates == 1:
         chunks = [fn(cfg, rep) for rep in reps]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool_:
             chunks = list(pool_.map(fn, [cfg] * cfg.n_replicates, reps))
     return [row for chunk in chunks for row in chunk]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -232,6 +233,8 @@ def format_cell(v) -> str:
 
 # Rows of a float array formatted per block: bounds the text held at once.
 _FLOAT_BLOCK_ROWS = 4096
+# Bytes of whole lines parsed per block: bounds the text and fields held at once.
+_READ_BLOCK_BYTES = 1 << 16
 # Files write_float_tables holds open at once, whatever the number of arrays.
 _OPEN_FILES = 64
 
@@ -273,59 +276,197 @@ def _write_float_rows(files, header: Sequence[str], arrays: list[np.ndarray]) ->
             fh.write("\n".join(map(",".join, cells.tolist())).replace("nan", blank) + "\n")
 
 
+def _write_bit_rows(path: str | Path, header: Sequence[str], bits: np.ndarray) -> None:
+    # Each row is its p digits at even offsets, commas between them and a
+    # newline last; a row of no fields is the newline alone.
+    bits = _binary(bits, "bit table entries")
+    n, p = bits.shape
+    text = np.full((n, max(2 * p, 1)), ord(","), np.uint8)
+    text[:, 0:2 * p:2] = bits + ord("0")
+    text[:, -1] = ord("\n")
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.write(text.tobytes().decode("ascii"))
+
+
 def write_table(path: str | Path, header: Sequence[str],
                 rows: Iterable[Sequence] | np.ndarray) -> None:
     """Write a header row and then ``rows``, each cell by :func:`format_cell`.
 
-    A 2-D float64 array goes through :func:`write_float_tables` instead of
-    cell by cell, to the same bytes."""
-    if isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2:
-        write_float_tables([path], header, [rows])
-        return
+    A 2-D float64 array goes through :func:`write_float_tables`, and a 2-D
+    uint8 array of 0/1 bits is written as bytes in one piece, both instead
+    of cell by cell and to the same bytes."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        if rows.dtype == np.float64:
+            write_float_tables([path], header, [rows])
+            return
+        if rows.dtype == np.uint8:
+            _write_bit_rows(path, header, rows)
+            return
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows([format_cell(v) for v in row] for row in rows)
 
 
-def _read_table(path: str | Path, parse, what: str) -> tuple[tuple[str, ...], list]:
-    """Header names and the rows of fields mapped through ``parse``. A row of
-    the wrong length, or a field ``parse`` rejects, raises naming ``path:line``."""
-    with open(path, "r", newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header is None:
-            raise ValueError(f"{path}: empty CSV")
-        names = tuple(h.strip() for h in header)
-        rows = []
-        for line_no, rec in enumerate(r, start=2):
-            if len(rec) != len(names):
-                raise ValueError(
-                    f"{path}:{line_no}: expected {len(names)} fields, got {len(rec)}"
-                )
+# The grammar of a data or mask CSV. The header is read by the csv module
+# (quoting allowed, a UTF-8 BOM stripped, names stripped of white space) and
+# must name every column once. The body is checked as bytes, a block of whole
+# lines at a time: a line ends in "\n" or "\r\n", and every row holds exactly
+# p comma-separated fields. A data field is empty or '""' (missing) or an
+# ASCII decimal real as Python's float spells it, "inf" included; a mask
+# field is one byte, 0 or 1. No data byte is an "a", so no field can spell
+# NaN, and a NaN read back is an empty field.
+_DATA_BYTES = b"0123456789+-.eEinftyINFTY\",\n"
+_MASK_BYTES = b"01,\n"
+_DATA_WHAT = "data fields must be numbers or empty"
+_MASK_WHAT = "mask entries must be 0/1"
+_COMMA_TO_SPACE = bytes.maketrans(b",", b" ")
+
+
+class _BadRow(Exception):
+    """Row ``row`` of a block breaks the grammar, as ``what`` says."""
+
+    def __init__(self, row: int, what: str):
+        self.row, self.what = int(row), what
+
+
+def _data_values(block: bytes, ends: np.ndarray, p: int) -> np.ndarray:
+    # Missing: an empty field, or the '""' the writer gives a single empty
+    # field. Every other field goes through float.
+    a = np.frombuffer(block, np.uint8)
+    size = np.diff(ends, prepend=-1) - 1
+    missing = size == 0
+    two = ends[size == 2]
+    missing[size == 2] = (a[two - 1] == ord('"')) & (a[two - 2] == ord('"'))
+    present = np.flatnonzero(~missing)
+    # The checked rows hold no white space: splitting on it after commas
+    # become spaces yields every non-empty field.
+    tokens = block[:ends[-1] if len(ends) else 0].translate(_COMMA_TO_SPACE).split()
+    if b'"' in block:
+        tokens = list(compress(tokens, (~missing[size > 0]).tolist()))
+    values = np.full(len(ends), np.nan)
+    try:
+        values[present] = np.fromiter(map(float, tokens), np.float64, len(tokens))
+    except ValueError:
+        for k, token in enumerate(tokens):
             try:
-                rows.append([parse(f) for f in rec])
+                float(token)
             except ValueError:
-                raise ValueError(f"{path}:{line_no}: {what}") from None
-    return names, rows
+                raise _BadRow(present[k] // p, _DATA_WHAT) from None
+        raise
+    return values.reshape(-1, p)
 
 
-def _data_field(f: str) -> float:
-    # Only an empty field is missing; a field spelled "nan" is rejected.
-    f = f.strip()
-    if not f:
-        return np.nan
-    v = float(f)
-    if v != v:
-        raise ValueError(f)
-    return v
+def _mask_values(block: bytes, ends: np.ndarray, p: int) -> np.ndarray:
+    # Every byte is 0, 1 or a separator: a field is valid iff it is one byte.
+    long = np.flatnonzero(np.diff(ends, prepend=-1) != 2)
+    if len(long):
+        raise _BadRow(long[0] // p, _MASK_WHAT)
+    return (np.frombuffer(block, np.uint8)[ends - 1] - ord("0")).reshape(-1, p)
 
 
-def _mask_field(f: str) -> int:
-    v = int(f)
-    if v not in (0, 1):
-        raise ValueError(f)
-    return v
+# A grammar: the byte class, the message for a field outside it, and the
+# field parser.
+_DATA = (_DATA_BYTES, _DATA_WHAT, _data_values)
+_MASK = (_MASK_BYTES, _MASK_WHAT, _mask_values)
+
+
+def _parse_block(block: bytes, p: int, grammar: tuple) -> np.ndarray:
+    """The rows of a block of whole lines as a (rows, p) array, or
+    :class:`_BadRow` for the first row that breaks the grammar: a row of
+    other than p fields, a byte outside the grammar's class, or a field
+    the grammar rejects, in that order within a row."""
+    allowed, what, values = grammar
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n")
+    a = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero((a == ord(",")) | (a == ord("\n")))  # the byte after each field
+    last = np.flatnonzero(a[ends] == ord("\n"))  # each row's last field
+    fields = np.diff(last, prepend=-1)
+    fields[(fields == 1) & (np.diff(ends, prepend=-1)[last] == 1)] = 0  # an empty line
+    wrong = np.flatnonzero(fields != p)
+    rows = int(wrong[0]) if len(wrong) else len(last)
+    bad = _BadRow(rows, f"expected {p} fields, got {fields[rows]}") if len(wrong) else None
+    stray = block.translate(None, allowed)
+    if stray:
+        row = int(np.searchsorted(ends[last], block.index(stray[:1])))
+        if row < rows:
+            rows, bad = row, _BadRow(row, what)
+    # The first rows hold p fields each, so their fields are the first rows * p.
+    out = values(block, ends[:rows * p], p)
+    if bad is not None:
+        raise bad
+    return out
+
+
+def _read_header(fh, path) -> tuple[tuple[str, ...], int]:
+    """Column names from the header and the number of lines it spans."""
+    first = fh.readline()
+    if not first:
+        raise ValueError(f"{path}: empty CSV")
+    lines = 0
+
+    def decoded():
+        # One line at a time, as the csv reader asks: the body stays unread.
+        nonlocal lines
+        for raw in chain([first.removeprefix(b"\xef\xbb\xbf")], fh):
+            lines += 1
+            yield raw.decode()
+
+    try:
+        names = tuple(h.strip() for h in next(csv.reader(decoded(), strict=True)))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}:{lines}: header: {exc}") from None
+    if not names or not all(names):
+        raise ValueError(f"{path}:1: header: every column needs a name")
+    if len(set(names)) < len(names):
+        twice = sorted({h for h in names if names.count(h) > 1})
+        raise ValueError(f"{path}:1: header: duplicate column names {twice}")
+    return names, lines
+
+
+def _line_blocks(fh):
+    """The rest of ``fh`` in blocks of whole lines, the last line ended."""
+    rest = b""
+    while chunk := fh.read(_READ_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield rest + chunk[:cut]
+            rest = chunk[cut:]
+        else:
+            rest += chunk
+    if rest:
+        yield rest + b"\n"
+
+
+def _read_rows(path: str | Path, grammar: tuple) -> tuple[tuple[str, ...], np.ndarray]:
+    """Header names and the body as an (n, p) array, read a block of lines at
+    a time; a row that breaks the grammar raises naming ``path:line``."""
+    with open(path, "rb") as fh:
+        names, line = _read_header(fh, path)
+        blocks = []
+        for block in _line_blocks(fh):
+            try:
+                blocks.append(_parse_block(block, len(names), grammar))
+            except _BadRow as bad:
+                raise ValueError(f"{path}:{line + bad.row + 1}: {bad.what}") from None
+            line += len(blocks[-1])
+    if not blocks:
+        raise ValueError(f"{path}: no rows after the header")
+    return names, np.concatenate(blocks)
+
+
+def read_flags(path: str | Path) -> np.ndarray:
+    """A headerless file of one 0/1 entry per line, by the mask grammar, as
+    a uint8 vector."""
+    body = Path(path).read_bytes()
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    try:
+        return _parse_block(body, 1, _MASK).ravel()
+    except _BadRow as bad:
+        raise ValueError(f"{path}:{bad.row + 1}: {bad.what}") from None
 
 
 def write_csv(d: DataMatrix, path: str | Path) -> None:
@@ -334,20 +475,18 @@ def write_csv(d: DataMatrix, path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> DataMatrix:
-    names, rows = _read_table(path, _data_field, "data fields must be numbers or empty")
-    values = np.array(rows, dtype=float).reshape(len(rows), len(names))
+    names, values = _read_rows(path, _DATA)
     return DataMatrix(values, MissMask(np.isnan(values)), names)
 
 
 def write_mask_csv(m: MissMask, path: str | Path,
                    col_names: Sequence[str] | None = None) -> None:
     names = tuple(col_names) if col_names is not None else default_names(m.p)
-    write_table(path, names, m.bits.tolist())
+    write_table(path, names, m.bits)
 
 
 def read_mask_csv(path: str | Path) -> tuple[MissMask, tuple[str, ...]]:
-    names, rows = _read_table(path, _mask_field, "mask entries must be 0/1")
-    bits = np.array(rows, dtype=np.uint8).reshape(len(rows), len(names))
+    names, bits = _read_rows(path, _MASK)
     return MissMask(bits), names
 
 

@@ -230,15 +230,60 @@ class TestImpute:
         manifest = (tmp_path / "ig.manifest.txt").read_text()
         assert "ignored_rows: 10" in manifest
 
-    @pytest.mark.parametrize("entry", ["2", "-1", "x"])
+    @pytest.mark.parametrize("entry", ["2", "-1", "x", "+1", "01", "٠", " 1", "1 "])
     def test_ignore_entry_other_than_zero_or_one_exits_one(self, tmp_path, data_file,
                                                            capsys, entry):
         ignore = tmp_path / "ignore.txt"
         ignore.write_text("\n".join(["0"] * 79 + [entry]) + "\n")
         assert run(["impute", "--data", data_file, "--ignore", ignore,
                     "--seed", 1, "--out", tmp_path / "o"]) == 1
-        assert "--ignore: entries must be 0 or 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--ignore: entries must be 0 or 1" in err
+        assert "ignore.txt:80: " in err
         assert not list(tmp_path.glob("o.*"))
+
+    # Each of these ran to exit 0 under the csv-module reader, read as
+    # something else than its bytes say.
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n1_000,2\n", "in.csv:3: data fields must be numbers or empty"),
+        ("a,b\n1,2\n١٢,2\n", "in.csv:3: data fields must be numbers or empty"),
+        ("a,b\n1,2\n１,2\n", "in.csv:3: data fields must be numbers or empty"),
+        ('a,b\n1,2\n3,\n4,"5\n', "in.csv:4: data fields must be numbers or empty"),
+        ("a,a\n1,2\n3,\n", "in.csv:1: header: duplicate column names ['a']"),
+        ("a,b\n", "in.csv: no rows after the header"),
+    ])
+    def test_data_outside_the_grammar_exits_one_naming_the_file(self, tmp_path, capsys,
+                                                               text, message):
+        src = tmp_path / "in.csv"
+        src.write_text(text)
+        assert run(["impute", "--data", src, "--method", "norm", "--seed", 1,
+                    "--out", tmp_path / "o"]) == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("o.*"))
+
+    def test_bom_and_crlf_read_as_the_plain_file(self, tmp_path):
+        rng = np.random.default_rng(9)
+        values = rng.normal(size=(30, 2))
+        values[rng.random((30, 2)) < 0.3] = np.nan
+        values[:, 0] = np.nan_to_num(values[:, 0])
+        plain = tmp_path / "plain.csv"
+        write_csv(DataMatrix(values, MissMask(np.isnan(values)), ("a", "b")), plain)
+        variant = tmp_path / "variant.csv"
+        variant.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
+        for src in (plain, variant):
+            assert run(["impute", "--data", src, "--method", "norm", "--m", 2,
+                        "--maxit", 2, "--seed", 4, "--out", tmp_path / src.stem]) == 0
+        for suffix in (".imp1.csv", ".imp2.csv", ".diagnostics.csv"):
+            assert (tmp_path / f"plain{suffix}").read_bytes() == (
+                tmp_path / f"variant{suffix}").read_bytes()
+
+    def test_quoted_empty_single_field_is_missing(self, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text('a\n1.5\n""\n2.5\n3.0\n')
+        assert run(["impute", "--data", src, "--method", "norm", "--m", 2,
+                    "--maxit", 1, "--seed", 2, "--out", tmp_path / "o"]) == 0
+        assert "imputed_columns: a" in (tmp_path / "o.manifest.txt").read_text()
+        assert (tmp_path / "o.imp1.csv").read_text().splitlines()[2] not in ("", '""')
 
     @pytest.mark.parametrize("ridge", ["nan", "inf", "-1"])
     def test_ridge_must_be_finite_and_non_negative(self, tmp_path, data_file, capsys,
@@ -475,6 +520,46 @@ def test_cli_import_skips_scipy_stats(tmp_path, data_file):
                    check=True, env=_subprocess_env(), stdout=subprocess.DEVNULL)
     # The pair is significant, so the conditioning pass ran too.
     assert "M1 ~ M2:" in (tmp_path / "report.summary.txt").read_text()
+
+
+def test_verbs_skip_the_study_imports(tmp_path, spec_file, data_file):
+    # Only the experiment verb needs misslab.experiments, and only a study
+    # run on more than one process needs concurrent.futures.process.
+    verbs = [
+        ["simulate", "--spec", spec_file, "--data", data_file, "--seed", 3,
+         "--out", tmp_path / "mask.csv"],
+        ["analyze", "--mask", tmp_path / "mask.csv", "--out", tmp_path / "report"],
+        ["impute", "--data", data_file, "--method", "norm", "--m", 2, "--maxit", 1,
+         "--seed", 3, "--out", tmp_path / "imp"],
+    ]
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"n": 100, "m": 2, "q_grid": [0.0], "maxit_list": [1]}))
+    study = ["experiment", "--id", "sim2", "--reps", 2, "--seed", 5,
+             "--config", tmp_path / "cfg.json"]
+    code = ("import json, sys; from misslab.cli import dispatch; "
+            "study = {'misslab.experiments', 'concurrent.futures.process'}; "
+            "assert not study & set(sys.modules); "
+            "assert [dispatch(v) for v in json.loads(sys.argv[1])] == [0, 0, 0]; "
+            "assert not study & set(sys.modules); "
+            "import misslab.experiments; "
+            "assert 'concurrent.futures.process' not in sys.modules; "
+            "assert dispatch(json.loads(sys.argv[2]) + ['--threads', '1']) == 0; "
+            "assert 'concurrent.futures.process' not in sys.modules; "
+            "assert dispatch(json.loads(sys.argv[3]) + ['--threads', '2']) == 0; "
+            "assert 'concurrent.futures.process' in sys.modules")
+    subprocess.run([sys.executable, "-c", code,
+                    json.dumps([[str(a) for a in v] for v in verbs]),
+                    json.dumps([str(a) for a in study + ["--out", tmp_path / "one"]]),
+                    json.dumps([str(a) for a in study + ["--out", tmp_path / "two"]])],
+                   check=True, env=_subprocess_env(), stdout=subprocess.DEVNULL)
+    for f in ("sim2_results.csv", "sim2_summary.csv"):
+        assert (tmp_path / "one" / f).read_bytes() == (tmp_path / "two" / f).read_bytes()
+
+
+def test_unknown_experiment_id_names_the_flag(tmp_path, capsys):
+    assert run(["experiment", "--id", "sim4", "--seed", 1, "--out", tmp_path / "o"]) == 1
+    assert "--id: invalid choice 'sim4'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_module_entry_point_runs():

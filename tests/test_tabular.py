@@ -11,11 +11,13 @@ from misslab import tabular
 from misslab.tabular import (
     DataMatrix,
     MissMask,
+    default_names,
     format_cell,
     format_value,
     joint_counts,
     pattern_summary,
     read_csv,
+    read_flags,
     read_mask_csv,
     write_csv,
     write_float_tables,
@@ -149,9 +151,14 @@ class TestCsv:
         write_mask_csv(d.missing, tmp_path / "m.csv", names)
         assert read_mask_csv(tmp_path / "m.csv")[1] == names
 
-    @pytest.mark.parametrize("field", ["abc", "nan", "NaN", " nan "])
+    @pytest.mark.parametrize("field", [
+        "abc", "nan", "NaN", " nan ", "1_000", "١٢", "１", '"5', '"1.5"', " 1.5", " ",
+        "1\r5", "1e", "--1",
+    ])
     def test_bad_data_field_names_file_and_line(self, tmp_path, field):
         # Only an empty field is missing: "nan" is not a spelling of it.
+        # Digit separators, non-ASCII digits, quotes, white space and a bare
+        # carriage return are not numbers either.
         path = tmp_path / "d.csv"
         path.write_text(f"a,b\n1.0,2.0\n3.0,{field}\n")
         with pytest.raises(ValueError, match=r"d\.csv:3: data fields must be numbers"):
@@ -225,6 +232,250 @@ class TestCsv:
             assert float(format_value(v)) == v
 
 
+
+def reference_read_table(path, parse, what):
+    """Reference reader, one ``parse`` call per field of the csv module's
+    rows: header names and rows, or ValueError naming path:line."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        r = csv.reader(fh)
+        header = next(r, None)
+        if header is None:
+            raise ValueError(f"{path}: empty CSV")
+        names = tuple(h.strip() for h in header)
+        rows = []
+        for line_no, rec in enumerate(r, start=2):
+            if len(rec) != len(names):
+                raise ValueError(
+                    f"{path}:{line_no}: expected {len(names)} fields, got {len(rec)}"
+                )
+            try:
+                rows.append([parse(f) for f in rec])
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: {what}") from None
+    return names, rows
+
+
+def reference_data_field(f):
+    f = f.strip()
+    if not f:
+        return np.nan
+    v = float(f)
+    if v != v:
+        raise ValueError(f)
+    return v
+
+
+def reference_mask_field(f):
+    v = int(f)
+    if v not in (0, 1):
+        raise ValueError(f)
+    return v
+
+
+FLOATS = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.sampled_from([np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                     2.225073858507201e-308, 1.7976931348623157e308, -1e300, 0.1]),
+)
+
+
+def bits_of(values):
+    # NaN is read back as the one NaN that stands for missing.
+    return np.where(np.isnan(values), np.nan, values).view(np.uint64)
+
+
+def valid_text(data, p, mask):
+    """A table the writers could have written, as bytes: p names and rows of
+    0/1 entries or of float reprs and empty fields."""
+    n = data.draw(st.integers(1, 6))
+    rows = []
+    for _ in range(n):
+        if mask:
+            fields = [str(data.draw(st.integers(0, 1))) for _ in range(p)]
+        else:
+            fields = [format_cell(data.draw(FLOATS)) for _ in range(p)]
+            if fields == [""]:
+                fields = ['""']
+        rows.append(",".join(fields))
+    return ("\n".join([",".join(default_names(p))] + rows) + "\n").encode()
+
+
+def mutated(data, text):
+    """``text`` with a few bytes inserted, deleted or replaced."""
+    text = bytearray(text)
+    alphabet = b'01,\n\r" .e+-_anif\xef\xbb\xbfx9\x00\xd9\xa1'
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        op = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+        byte = data.draw(st.sampled_from(alphabet))
+        if op == "insert":
+            text[at:at] = bytes([byte])
+        elif at < len(text):
+            text[at:at + 1] = b"" if op == "delete" else bytes([byte])
+    return bytes(text)
+
+
+class TestReader:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_float_arrays_read_back_bit_for_bit(self, tmp_path_factory, data):
+        n, p = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 4))
+        group = [data.draw(arrays(np.float64, (n, p), elements=FLOATS))
+                 for _ in range(data.draw(st.integers(1, 3)))]
+        for values in group:
+            values[data.draw(arrays(np.bool_, n)), :] = np.nan  # whole rows missing
+        d = tmp_path_factory.mktemp("r")
+        paths = [d / f"imp{k}.csv" for k in range(len(group))]
+        with mock.patch.object(tabular, "_FLOAT_BLOCK_ROWS", data.draw(st.integers(1, 4))), \
+                mock.patch.object(tabular, "_READ_BLOCK_BYTES", data.draw(st.integers(1, 64))):
+            write_float_tables(paths, default_names(p), group)
+            write_csv(DataMatrix(group[0], MissMask(np.isnan(group[0])), default_names(p)),
+                      d / "one.csv")
+            assert (d / "one.csv").read_bytes() == paths[0].read_bytes()
+            for path, values in zip(paths, group):
+                back = read_csv(path)
+                assert back.col_names == default_names(p)
+                np.testing.assert_array_equal(bits_of(back.values), bits_of(values))
+                np.testing.assert_array_equal(back.missing.bits, np.isnan(values))
+
+    @settings(max_examples=200, deadline=None)
+    @given(bits=arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=7),
+                       elements=st.integers(0, 1)),
+           block=st.integers(1, 20))
+    def test_mask_bytes_equal_the_cell_writer(self, tmp_path_factory, bits, block):
+        d = tmp_path_factory.mktemp("m")
+        names = default_names(bits.shape[1])
+        write_mask_csv(MissMask(bits), d / "bytes.csv")
+        write_table(d / "cells.csv", names, bits.tolist())
+        assert (d / "bytes.csv").read_bytes() == (d / "cells.csv").read_bytes()
+        if bits.size:
+            with mock.patch.object(tabular, "_READ_BLOCK_BYTES", block):
+                back, back_names = read_mask_csv(d / "bytes.csv")
+            assert back_names == names
+            np.testing.assert_array_equal(back.bits, bits)
+
+    def test_bit_writer_refuses_other_entries(self, tmp_path):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            write_table(tmp_path / "m.csv", ("a",), np.array([[2]], np.uint8))
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), mask=st.booleans())
+    def test_reads_as_the_reference_or_raises_naming_the_path(self, tmp_path_factory,
+                                                              data, mask):
+        # Random bytes, or a valid table with a few bytes changed. Every input
+        # reads or raises ValueError naming the file; every input both this
+        # reader and the csv-module reference accept reads the same. The
+        # reference keeps a UTF-8 BOM in the first name, which this reader
+        # strips, so it reads the text after the BOM.
+        if data.draw(st.booleans()):
+            text = data.draw(st.binary(max_size=60))
+        else:
+            text = mutated(data, valid_text(data, data.draw(st.integers(1, 3)), mask))
+        d = tmp_path_factory.mktemp("f")
+        path, plain = d / "in.csv", d / "plain.csv"
+        path.write_bytes(text)
+        plain.write_bytes(text.removeprefix(b"\xef\xbb\xbf"))
+        read, parse, what = ((read_mask_csv, reference_mask_field, "mask entries must be 0/1")
+                             if mask else (read_csv, reference_data_field, "data fields"))
+        try:
+            got = read(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+            return
+        names, values = (got[1], got[0].bits) if mask else (got.col_names, got.values)
+        try:
+            ref_names, rows = reference_read_table(plain, parse, what)
+        except (ValueError, csv.Error):
+            return
+        assert ref_names == names
+        ref = np.array(rows, dtype=values.dtype).reshape(len(rows), len(names))
+        if mask:
+            np.testing.assert_array_equal(ref, values)
+        else:
+            np.testing.assert_array_equal(bits_of(ref), bits_of(values))
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,a\n1,2\n", r"d\.csv:1: header: duplicate column names \['a'\]"),
+        (" a,a \n1,2\n", r"d\.csv:1: header: duplicate column names \['a'\]"),
+        ("a,\n1,2\n", r"d\.csv:1: header: every column needs a name"),
+        ("\n1\n", r"d\.csv:1: header: every column needs a name"),
+        ('a,"b\n1,2\n', r"d\.csv:2: header: unexpected end of data"),
+        ("a,b\n", r"d\.csv: no rows after the header"),
+        ("", r"d\.csv: empty CSV"),
+    ])
+    def test_bad_header_or_no_rows_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_csv(path)
+        with pytest.raises(ValueError, match=message):
+            read_mask_csv(path)
+
+    def test_non_utf8_header_names_the_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,\xff\n1,2\n")
+        with pytest.raises(ValueError, match=r"d\.csv:1: header: 'utf-8' codec"):
+            read_csv(path)
+
+    def test_bom_stripped_and_crlf_read_as_lf(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(b'a,"b,c"\n1.5,\n-2,inf\n')
+        variant = tmp_path / "variant.csv"
+        variant.write_bytes(b'\xef\xbb\xbfa,"b,c"\r\n1.5,\r\n-2,inf')
+        for path in (plain, variant):
+            d = read_csv(path)
+            assert d.col_names == ("a", "b,c")
+            assert np.array_equal(d.values, [[1.5, np.nan], [-2.0, np.inf]], equal_nan=True)
+
+    def test_quoted_empty_field_is_missing(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('a\n1.5\n""\n')
+        assert np.array_equal(read_csv(path).values, [[1.5], [np.nan]], equal_nan=True)
+        path.write_text('a,b\n1.5,""\n')
+        assert np.array_equal(read_csv(path).values, [[1.5, np.nan]], equal_nan=True)
+
+    def test_empty_line_is_a_row_of_no_fields(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a\n1.5\n\n")
+        with pytest.raises(ValueError, match=r"d\.csv:3: expected 1 fields, got 0"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("bad_line, bad", [(2, "x"), (7, "1,2"), (9, "1e"), (11, ".")])
+    def test_first_bad_line_found_across_blocks(self, tmp_path, bad_line, bad):
+        # A later row breaking the grammar another way does not hide it.
+        rows = [f"{k}.5,{k}" for k in range(12)]
+        rows[bad_line - 2] = f"{bad},1" if bad != "1,2" else "1,2,3"
+        rows[-1] = "9,_"
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n" + "\n".join(rows) + "\n")
+        for block in (1, 2, 7, 16, 1 << 20):
+            with mock.patch.object(tabular, "_READ_BLOCK_BYTES", block):
+                with pytest.raises(ValueError, match=rf"d\.csv:{bad_line}: "):
+                    read_csv(path)
+
+    def test_multiline_header_counts_its_lines(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('"a\nb",c\n1,2\nx,2\n')
+        with pytest.raises(ValueError, match=r"d\.csv:4: data fields"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("text, flags", [
+        (b"0\n1\n1\n", [0, 1, 1]), (b"1\r\n0", [1, 0]), (b"", []),
+    ])
+    def test_flags_read(self, tmp_path, text, flags):
+        (tmp_path / "f.txt").write_bytes(text)
+        assert read_flags(tmp_path / "f.txt").tolist() == flags
+
+    @pytest.mark.parametrize("text, line", [
+        (b"0\n+1\n", 2), (b"01\n", 1), (b" 1\n", 1), (b"0\n\n1\n", 2), (b"0 1\n", 1),
+        ("0\n٠\n".encode(), 2),
+    ])
+    def test_flags_outside_the_mask_grammar(self, tmp_path, text, line):
+        (tmp_path / "f.txt").write_bytes(text)
+        with pytest.raises(ValueError, match=rf"f\.txt:{line}: "):
+            read_flags(tmp_path / "f.txt")
+
+
 def test_joint_counts_equal_integer_sums():
     # Several count blocks, rows of the pairs' joint indicators included.
     rng = np.random.default_rng(3)
@@ -271,7 +522,7 @@ class TestInvariants:
         assert m.bits.dtype == np.uint8
         assert m.bits.tolist() == [[1, 0]]
 
-    @pytest.mark.parametrize("entry", ["-1", "256", "2"])
+    @pytest.mark.parametrize("entry", ["-1", "256", "2", "+1", "01", " 1", "1 ", "٠", ""])
     def test_mask_csv_out_of_range_entry_names_file_and_line(self, tmp_path, entry):
         path = tmp_path / "m.csv"
         path.write_text(f"a,b\n0,1\n1,{entry}\n")
