@@ -38,7 +38,13 @@ from .impute import (
     chain_diagnostics,
     fcs_impute,
 )
-from .mechanisms import SpecificationError, classify, load_spec, simulate_mask
+from .mechanisms import (
+    SpecificationError,
+    classify,
+    load_spec,
+    parse_json,
+    simulate_mask,
+)
 from .tabular import (
     read_csv,
     read_flags,
@@ -243,10 +249,7 @@ def _cmd_experiment(args) -> int:
     overrides = {}
     if args.config is not None:
         cfg_path = _require_file(args.config, "--config")
-        try:
-            overrides = json.loads(cfg_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise _UsageError(f"--config: not valid JSON: {exc}") from None
+        overrides = parse_json(cfg_path.read_text(), "--config")
         if not isinstance(overrides, dict):
             raise _UsageError("--config: top level must be an object")
     seed = _require_seed(args)

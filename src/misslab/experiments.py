@@ -19,8 +19,7 @@ rows are emitted in a deterministic order.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,14 @@ from .impute import (
     fcs_impute,
 )
 from .inference import ols_fit, pool, predict_mse, replicate_metrics
-from .mechanisms import MechanismSpec, SpecificationError, classify, simulate_mask
+from .mechanisms import (
+    MechanismSpec,
+    SpecificationError,
+    classify,
+    field_types,
+    read_typed,
+    simulate_mask,
+)
 from .tabular import DataMatrix, MissMask, default_names, format_cell, write_table
 
 EXPERIMENT_IDS = ("sim1", "sim2", "sim3")
@@ -80,14 +86,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # Fields may come from JSON overrides. Check each against its
-        # annotation, naming it, and store float fields as floats so that
-        # 0 and 0.0 write the same bytes.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "out_dir" or (value is None and f.type.endswith(" | None")):
-                continue
-            value = _typed(f.name, value, f.type.removesuffix(" | None"))
-            object.__setattr__(self, f.name, value)
+        # annotation by the spec file rule, naming it, and store float fields
+        # as floats so that 0 and 0.0 write the same bytes.
+        for name, kind in field_types(ExperimentConfig).values():
+            if name != "out_dir":
+                object.__setattr__(self, name, read_typed(kind, getattr(self, name), name))
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENT_IDS:
@@ -144,22 +147,6 @@ class ExperimentConfig:
         if self.experiment == "sim2":
             return tuple(round(0.1 * i, 1) for i in range(11))
         return (0.0, 0.25, 0.5, 0.75, 1.0)
-
-
-_TYPES = {"int": (numbers.Integral, int), "float": (numbers.Real, float), "str": (str, str)}
-
-
-def _typed(name: str, value, kind: str):
-    """``value`` as the config type ``kind``: "int", "float", "str" or
-    "tuple[<one of those>, ...]", which takes a list or a tuple."""
-    if kind.startswith("tuple["):
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"{name}: expected a list, got {value!r}")
-        return tuple(_typed(name, v, kind[len("tuple["):-len(", ...]")]) for v in value)
-    accepted, convert = _TYPES[kind]
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ValueError(f"{name}: expected {kind}, got {value!r}")
-    return convert(value)
 
 
 # The config fields each study reads, in manifest order.

@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
-from typing import ClassVar, Mapping, Sequence, Union
+from types import UnionType
+from typing import ClassVar, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -53,7 +55,8 @@ _OPS = {
 
 
 class SpecificationError(ValueError):
-    """The mechanism specification itself is invalid."""
+    """The mechanism specification itself is invalid, or a JSON input (a spec
+    file or study config overrides) does not parse or fit its types."""
 
 
 class EvaluationError(RuntimeError):
@@ -922,9 +925,6 @@ def compose(specs: Sequence[MechanismSpec]) -> MechanismSpec:
 
 
 _JSON_KEYS = {"col_names": "columns"}
-_CLAUSE_TYPES = {
-    cls.tag: cls for cls in (LogisticClause, TableClause, ForceClause, LogicalClause)
-}
 
 
 def _to_json(obj):
@@ -946,129 +946,93 @@ def _to_json(obj):
     return out
 
 
-def spec_to_dict(spec: MechanismSpec) -> dict:
-    return _to_json(spec)
+# Decoding. ``read_typed`` walks the type annotations of the spec classes
+# (and of ``ExperimentConfig``): a value that does not fit raises a
+# SpecificationError naming its path in the file, such as
+# ``rules[0].clauses[1]``.
 
-
-# Decoding. A reader takes a JSON value and its path in the spec (such as
-# ``rules[0].clauses[1]``) and raises a SpecificationError naming that path
-# when the value is missing or has the wrong type.
-
-
-def _scalar(want: str, types: tuple, convert):
-    def read(v, path: str):
-        if isinstance(v, bool) or not isinstance(v, types):
-            raise SpecificationError(f"{path}: expected {want}, got {type(v).__name__}")
-        return convert(v)
-
-    return read
-
-
-_number = _scalar("a number", (int, float), float)
-_int = _scalar("an integer", (int,), int)
-_text = _scalar("a string", (str,), str)
-
-
-def _integer(v, path: str) -> int:
-    # An integral float such as 1.0 reads as the integer it spells.
-    return _int(int(v) if isinstance(v, float) and v.is_integer() else v, path)
-
-
-def _items(read):
-    def items(v, path: str) -> tuple:
-        if not isinstance(v, list):
-            raise SpecificationError(f"{path}: expected a list, got {type(v).__name__}")
-        return tuple(read(x, f"{path}[{i}]") for i, x in enumerate(v))
-
-    return items
-
-
-def _pair(read_first, read_second):
-    def pair(v, path: str) -> tuple:
-        if not isinstance(v, list) or len(v) != 2:
-            raise SpecificationError(f"{path}: expected a pair [a, b]")
-        return read_first(v[0], f"{path}[0]"), read_second(v[1], f"{path}[1]")
-
-    return pair
-
-
-def _part(cls):
-    return lambda v, path: _decode(cls, v, path)
-
-
-@dataclass(frozen=True)
-class _Tagged:
-    """The ``type`` tag every clause object carries."""
-
-    type: str
-
-
-def _clause(d, path: str) -> Clause:
-    tag = _decode(_Tagged, d, path).type
-    if tag not in _CLAUSE_TYPES:
-        raise SpecificationError(f"{path}: unknown clause type {tag!r}")
-    return _decode(_CLAUSE_TYPES[tag], d, path)
-
-
-_ref = _part(PredictorRef)
-_predicate = _items(_part(Comparison))
-_READERS = {
-    _Tagged: dict(type=_text),
-    PredictorRef: dict(kind=_text, index=_integer, scale=_number, shift=_number),
-    Comparison: dict(ref=_ref, op=_text, value=_number),
-    LogisticClause: dict(intercept=_number, terms=_items(_pair(_ref, _number))),
-    TableClause: dict(
-        parents=_items(_ref), probs=_items(_pair(_items(_integer), _number))
-    ),
-    ForceClause: dict(when=_predicate, value=_integer),
-    LogicalClause: dict(when=_predicate),
-    MechanismRule: dict(target=_integer, clauses=_items(_clause),
-                        subject_scope=_predicate),
-    LatentBlock: dict(prob=_number),
-    TaxonomyLabel: dict(data_dependence=_text, structure=_text, shape=_text,
-                        determinism=_text, sign=_text),
-    MechanismSpec: dict(
-        rules=_items(_part(MechanismRule)),
-        simulation_order=_items(_integer),
-        subject_effect_var=_number,
-        blocks=_items(_part(LatentBlock)),
-        latent_columns=_items(_integer),
-        temporal_order=_items(_integer),
-        declared_label=_part(TaxonomyLabel),
-        col_names=_items(_text),
-    ),
-}
+_SCALARS = {int: ("an integer", (int,)), float: ("a number", (int, float)),
+            str: ("a string", (str,))}
 # Fields a spec file may leave out; they take their dataclass default, as
-# does null where that default is None.
+# does null where the annotation admits None.
 _OPTIONAL = {
     "index", "scale", "shift", "subject_scope", "sign", "subject_effect_var",
     "blocks", "latent_columns", "temporal_order", "declared_label", "col_names",
 }
 
 
-def _decode(cls, d, path: str):
-    """An instance of the spec part ``cls`` from its JSON object ``d``."""
+@cache
+def field_types(cls) -> dict[str, tuple[str, object]]:
+    """JSON key -> (field name, resolved annotation) of a dataclass."""
+    hints = get_type_hints(cls)
+    return {_JSON_KEYS.get(f.name, f.name): (f.name, hints[f.name]) for f in fields(cls)}
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpecificationError(f"{where}: expected an object, got {type(value).__name__}")
+    return value
+
+
+def read_typed(tp, value, path: str = ""):
+    """``value``, as JSON decodes it, checked and converted to the type
+    ``tp``: an integer takes only an integer, a number an integer or a float
+    (stored as a float), a list field a list (or a tuple, from Python); a
+    dataclass takes an object holding its fields (a clause also its ``type``
+    tag) and no other key."""
     where = path or "spec"
-    if not isinstance(d, dict):
-        raise SpecificationError(f"{where}: expected an object, got {type(d).__name__}")
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):
+        if value is None and type(None) in args:
+            return None
+        kinds = [a for a in args if a is not type(None)]
+        if len(kinds) > 1:  # clause types, told apart by their tag
+            if "type" not in _object(value, where):
+                raise SpecificationError(f"{where}: missing field 'type'")
+            tag = read_typed(str, value["type"], f"{path}.type")
+            kinds = [k for k in kinds if k.tag == tag]
+            if not kinds:
+                raise SpecificationError(f"{where}: unknown clause type {tag!r}")
+        return read_typed(kinds[0], value, path)
+    if origin is tuple and args[-1] is not Ellipsis:
+        if not isinstance(value, (list, tuple)) or len(value) != len(args):
+            raise SpecificationError(f"{where}: expected a pair [a, b]")
+        return tuple(read_typed(t, v, f"{path}[{i}]")
+                     for i, (t, v) in enumerate(zip(args, value)))
+    if origin in (tuple, frozenset):
+        if not isinstance(value, (list, tuple)):
+            raise SpecificationError(f"{where}: expected a list, got {type(value).__name__}")
+        return origin(read_typed(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if tp in _SCALARS:
+        want, accepted = _SCALARS[tp]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise SpecificationError(f"{where}: expected {want}, got {type(value).__name__}")
+        return tp(value)
+    keys = field_types(tp)
+    for key in _object(value, where):
+        if key not in keys and not (key == "type" and hasattr(tp, "tag")):
+            raise SpecificationError(f"{where}: unknown field {key!r}")
     kwargs = {}
-    for f in fields(cls):
-        key = _JSON_KEYS.get(f.name, f.name)
-        if key not in d or (d[key] is None and f.default is None):
-            if f.name not in _OPTIONAL:
-                raise SpecificationError(f"{where}: missing field {key!r}")
-            continue
-        kwargs[f.name] = _READERS[cls][f.name](d[key], f"{path}.{key}" if path else key)
-    return cls(**kwargs)
+    for key, (name, kind) in keys.items():
+        if key in value:
+            kwargs[name] = read_typed(kind, value[key], f"{path}.{key}" if path else key)
+        elif name not in _OPTIONAL:
+            raise SpecificationError(f"{where}: missing field {key!r}")
+    return tp(**kwargs)
 
 
-def spec_from_dict(d: Mapping) -> MechanismSpec:
-    return _decode(MechanismSpec, d, "")
+def parse_json(text: str, source: str):
+    """The JSON value of ``text``; malformed or too deeply nested text raises
+    a SpecificationError naming ``source``."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise SpecificationError(f"{source}: not valid JSON: {exc}") from None
 
 
 def dumps_spec(spec: MechanismSpec) -> str:
     """Canonical text form (stable key order, trailing newline)."""
-    return json.dumps(spec_to_dict(spec), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_to_json(spec), indent=2, sort_keys=True) + "\n"
 
 
 def save_spec(spec: MechanismSpec, path: str | Path) -> None:
@@ -1076,11 +1040,7 @@ def save_spec(spec: MechanismSpec, path: str | Path) -> None:
 
 
 def loads_spec(text: str) -> MechanismSpec:
-    try:
-        payload = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise SpecificationError(f"spec file is not valid JSON: {exc}") from None
-    return spec_from_dict(payload)
+    return read_typed(MechanismSpec, parse_json(text, "spec file"))
 
 
 def load_spec(path: str | Path) -> MechanismSpec:

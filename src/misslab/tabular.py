@@ -491,19 +491,23 @@ def read_mask_csv(path: str | Path) -> tuple[MissMask, tuple[str, ...]]:
 
 
 def read_ordering(path: str | Path, col_names: Sequence[str]) -> tuple[int, ...]:
-    """Read a column ordering file: one name or index per line / comma list."""
-    text = Path(path).read_text()
-    tokens = [t.strip() for chunk in text.splitlines() for t in chunk.split(",")]
-    tokens = [t for t in tokens if t]
+    """Read a column ordering file: entries separated by commas or line ends
+    (LF or CRLF), each a column name exactly or a column index in ASCII
+    decimal without sign, leading zero or white space. An entry outside that
+    grammar, empty ones and blank lines included, raises naming
+    ``path:line``."""
+    names = list(col_names)
+    text = Path(path).read_text().replace("\r\n", "\n").removesuffix("\n")
     order: list[int] = []
-    for t in tokens:
-        if t in col_names:
-            order.append(list(col_names).index(t))
-        else:
-            try:
+    for line, row in enumerate(text.split("\n"), 1):
+        for t in row.split(","):
+            if t in names:
+                order.append(names.index(t))
+            elif t.isascii() and t.isdigit() and (t == "0" or t[0] != "0"):
                 order.append(int(t))
-            except ValueError:
-                raise ValueError(f"{path}: unknown column {t!r}") from None
+            else:
+                what = f"{t!r} is not a column name or index" if t else "empty entry"
+                raise ValueError(f"{path}:{line}: {what}")
     if sorted(order) != list(range(len(col_names))):
         raise ValueError(f"{path}: ordering must be a permutation of all columns")
     return tuple(order)

@@ -113,6 +113,12 @@ class TestClassify:
          "subject_effect_var must be a finite number >= 0, got nan"),
         (_put(float("inf"), "subject_effect_var"),
          "subject_effect_var must be a finite number >= 0, got inf"),
+        (lambda spec: {("latent_column" if k == "latent_columns" else k): v
+                       for k, v in spec.items()},
+         "spec: unknown field 'latent_column'"),
+        (_put(1.0, "rules", 2, "clauses", 0, "weight"),
+         "rules[2].clauses[0]: unknown field 'weight'"),
+        (_put(0.0, "rules", 0, "target"), "rules[0].target: expected an integer, got float"),
     ])
     def test_malformed_spec_exits_one_naming_the_field(self, tmp_path, spec_file,
                                                        capsys, edit, message):
@@ -178,6 +184,33 @@ class TestAnalyze:
         ordering.write_text("a\nb\nc\n")
         assert run(["analyze", "--mask", path, "--ordering", ordering]) == 0
         assert "sequential signature" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ["c,0\n1\n", "b\r\na\r\n2"])
+    def test_ordering_by_index_and_name(self, tmp_path, capsys, text):
+        ordering = tmp_path / "order.txt"
+        ordering.write_bytes(text.encode())
+        assert run(["analyze", "--mask", self._mask_file(tmp_path),
+                    "--ordering", ordering]) == 0
+        assert "sequential signature" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, line, what", [
+        ("a\n+1\nc\n", 2, "'+1' is not a column name or index"),
+        ("\u0660\nb\nc\n", 1, "'\u0660' is not a column name or index"),
+        ("a\nb\n 2\n", 3, "' 2' is not a column name or index"),
+        ("a,01,c\n", 1, "'01' is not a column name or index"),
+        ("a, b,c\n", 1, "' b' is not a column name or index"),
+        ("a,,b,c\n", 1, "empty entry"),
+        ("a,b,c,\n", 1, "empty entry"),
+        ("a\n\nb\nc\n", 2, "empty entry"),
+        ("a\nb\nc\n\n", 4, "empty entry"),
+    ])
+    def test_ordering_outside_the_grammar_exits_one(self, tmp_path, capsys, text,
+                                                    line, what):
+        ordering = tmp_path / "order.txt"
+        ordering.write_text(text)
+        assert run(["analyze", "--mask", self._mask_file(tmp_path),
+                    "--ordering", ordering]) == 1
+        assert f"order.txt:{line}: {what}" in capsys.readouterr().err
 
 
 class TestImpute:
@@ -341,11 +374,11 @@ class TestExperimentVerb:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("override, message", [
-        ({"n": "abc"}, "n: expected int, got 'abc'"),
-        ({"q_grid": 0.5}, "q_grid: expected a list, got 0.5"),
-        ({"rho_list": [0.4, "a"]}, "rho_list: expected float, got 'a'"),
-        ({"n_replicates": 1.5}, "n_replicates: expected int, got 1.5"),
-        ({"structures": "mcar_u_1"}, "structures: expected a list, got 'mcar_u_1'"),
+        ({"n": "abc"}, "n: expected an integer, got str"),
+        ({"q_grid": 0.5}, "q_grid: expected a list, got float"),
+        ({"rho_list": [0.4, "a"]}, "rho_list[1]: expected a number, got str"),
+        ({"n_replicates": 1.5}, "n_replicates: expected an integer, got float"),
+        ({"structures": "mcar_u_1"}, "structures: expected a list, got str"),
     ])
     def test_ill_typed_config_field_exits_one(self, tmp_path, capsys, override,
                                               message):
@@ -441,6 +474,15 @@ class TestExperimentVerb:
                     "--config", config, "--out", tmp_path / "o"]) == 0
         manifest = (tmp_path / "o" / "manifest.txt").read_text()
         assert "n_replicates: 1" in manifest
+
+    def test_deeply_nested_config_exits_one(self, tmp_path, capsys):
+        config = tmp_path / "deep.json"
+        config.write_text("[" * 100_000)
+        code = run(["experiment", "--id", "sim2", "--seed", 1,
+                    "--config", config, "--out", tmp_path / "o"])
+        assert code == 1
+        assert "--config: not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestExportGraph:

@@ -1,3 +1,7 @@
+import json
+import re
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -64,8 +68,20 @@ class TestConfigValidation:
         ("maxit_list", [1.5]), ("structures", "mcar_u_1"), ("missing_rate", None),
     ])
     def test_ill_typed_field_named(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field}: expected"):
+        # A bad list entry is named by its position.
+        path = re.escape(f"{field}[0]" if isinstance(value, list) else field)
+        with pytest.raises(ValueError, match=f"^{path}: expected"):
             ExperimentConfig("sim2", **{field: value})
+
+    @pytest.mark.parametrize("experiment", ["sim1", "sim2", "sim3"])
+    def test_every_field_reads_back_from_json(self, experiment):
+        # A field whose annotation the config reader cannot read fails here.
+        from misslab.cli import config_from_mapping
+
+        default = ExperimentConfig(experiment)
+        for cfg in (default, replace(default, q_grid=default.effective_q_grid())):
+            values = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "out_dir"}
+            assert config_from_mapping(json.loads(json.dumps(values))) == cfg
 
     def test_default_grids(self):
         assert ExperimentConfig("sim2").effective_q_grid() == tuple(

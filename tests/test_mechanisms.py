@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -586,6 +588,20 @@ def _json_paths(obj, path=()):
         yield from _json_paths(child, path + (key,))
 
 
+# Every key some spec object may hold.
+_SPEC_KEYS = {"type", "columns"} | {
+    f.name for cls in (PredictorRef, Comparison, LogisticClause, TableClause, ForceClause,
+                       LogicalClause, MechanismRule, LatentBlock, TaxonomyLabel, MechanismSpec)
+    for f in dataclasses.fields(cls)
+}
+
+
+def _spec_path(path) -> str:
+    """A JSON path as spec errors name it: ``rules[0].clauses[1]``."""
+    text = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+    return text.removeprefix(".") or "spec"
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
@@ -652,3 +668,28 @@ class TestSpecProperties:
         spec_file = tmp_path_factory.mktemp("spec") / "spec.json"
         spec_file.write_text(json.dumps(obj))
         assert dispatch(["classify", "--spec", str(spec_file)]) in (0, 1)
+
+    @given(specs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_unknown_key_exits_one_naming_its_path(self, tmp_path_factory, spec, data):
+        # Insert a key no spec object holds into one object of a valid spec's
+        # JSON: classify exits 1 naming the key and the object's path.
+        from misslab.cli import dispatch
+
+        obj = json.loads(dumps_spec(spec))
+        nodes = {}
+        for path in _json_paths(obj):
+            node = obj
+            for key in path:
+                node = node[key]
+            if isinstance(node, dict):
+                nodes[path] = node
+        path = data.draw(st.sampled_from(list(nodes)))
+        key = data.draw(st.text(max_size=8).filter(lambda k: k not in _SPEC_KEYS))
+        nodes[path][key] = data.draw(_json_values)
+        spec_file = tmp_path_factory.mktemp("spec") / "spec.json"
+        spec_file.write_text(json.dumps(obj))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert dispatch(["classify", "--spec", str(spec_file)]) == 1
+        assert f"{_spec_path(path)}: unknown field {key!r}" in err.getvalue()
