@@ -12,16 +12,19 @@ screening tools, not proofs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .inference import t_upper_tail
 from .tabular import DataMatrix, MissMask, joint_counts, monotone_rows
 
-# P-values come from scipy.special.chdtrc(1, x), which chi2.sf(x, 1) calls
-# for x >= 0 (every statistic here); scipy.stats takes about a second to
-# import, so only mcar_structure_audit (ttest_ind) imports it, where used.
+# P-values are computed here, not taken from SciPy, whose statistics modules
+# cost a process about 26 MB and a quarter of a second to import: the
+# chi-square(1) tail is erfc(sqrt(x / 2)), and the Welch test's Student t
+# tail is misslab.inference.t_upper_tail.
 
 ALPHA_DEFAULT = 0.01
 
@@ -95,8 +98,6 @@ def pairwise_dependence(m: MissMask, alpha: float = ALPHA_DEFAULT) -> Dependence
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    from scipy.special import chdtrc
-
     bits = m.bits
     n, p = bits.shape
     if n < 2:
@@ -119,7 +120,7 @@ def pairwise_dependence(m: MissMask, alpha: float = ALPHA_DEFAULT) -> Dependence
     # not always the correctly rounded x * x.
     stat = (a + b + c + d) * np.float_power(a * d - b * c, 2) / (
         (a + b) * (c + d) * (a + c) * (b + d))
-    pval = chdtrc(1, stat)  # chi2.sf(stat, 1); stat >= 0, where the two agree
+    pval = _chi2_tail(stat)
     significant = (pval < alpha) & ~undetermined
     sign = np.where(significant, np.where(odds > 1.0, SIGN_POSITIVE, SIGN_NEGATIVE),
                     np.where(undetermined, SIGN_UNDETERMINED, SIGN_NONE)).astype(object)
@@ -136,6 +137,11 @@ def pairwise_dependence(m: MissMask, alpha: float = ALPHA_DEFAULT) -> Dependence
     return DependenceReport(pairs, sign_matrix, flags, alpha, n)
 
 
+def _chi2_tail(stat: np.ndarray) -> np.ndarray:
+    """P(X > stat) for chi-square with one degree of freedom, stat >= 0."""
+    return np.array([math.erfc(math.sqrt(x / 2)) for x in stat.tolist()], dtype=float)
+
+
 def _single_column_conditioning(bits: np.ndarray, both: np.ndarray,
                                 js: np.ndarray, ks: np.ndarray, alpha: float):
     """For the significant pairs ``(js, ks)``, note any single mask column
@@ -146,8 +152,6 @@ def _single_column_conditioning(bits: np.ndarray, both: np.ndarray,
     dependence is induced rather than direct. A column with fewer than two
     rows in a stratum (a constant one, say) conditions nothing.
     """
-    from scipy.special import chdtrc
-
     n, p = bits.shape
     if not len(js) or p < 3:
         return ()
@@ -174,8 +178,7 @@ def _single_column_conditioning(bits: np.ndarray, both: np.ndarray,
     tested[rows, js] = tested[rows, ks] = False
     q, l = np.nonzero(tested)
     stat = num[q, l] * num[q, l] / den[q, l]
-    pval = chdtrc(1, stat)
-    keep = pval >= alpha
+    keep = _chi2_tail(stat) >= alpha
     return tuple((j, k, f"given M{c + 1}", "independent")
                  for j, k, c in zip(js[q[keep]].tolist(), ks[q[keep]].tolist(),
                                     l[keep].tolist()))
@@ -235,8 +238,6 @@ def mcar_structure_audit(x: DataMatrix, alpha: float = ALPHA_DEFAULT) -> AuditRe
     ``data-dependent`` dominates ``structured-indicators`` dominates
     ``consistent-with-unstructured``.
     """
-    from scipy import stats
-
     bits = x.missing.bits
     n, p = bits.shape
     report = pairwise_dependence(x.missing, alpha)
@@ -256,10 +257,9 @@ def mcar_structure_audit(x: DataMatrix, alpha: float = ALPHA_DEFAULT) -> AuditRe
             g0 = vals[groups == 0]
             if len(g1) < 2 or len(g0) < 2:
                 continue
-            stat, pval = stats.ttest_ind(g1, g0, equal_var=False)
-            if np.isnan(pval):
-                continue
-            data_rows.append((j, k, float(stat), float(pval)))
+            stat, df = _welch(g1, g0)
+            if not math.isnan(stat):
+                data_rows.append((j, k, stat, 2.0 * t_upper_tail(abs(stat), df)))
 
     evidence: list[str] = []
     sig_pairs = report.significant_pairs()
@@ -286,6 +286,20 @@ def mcar_structure_audit(x: DataMatrix, alpha: float = ALPHA_DEFAULT) -> AuditRe
         evidence.append("no indicator pair or indicator-data association "
                         "survived the Bonferroni threshold")
     return AuditReport(report, tuple(data_rows), verdict, tuple(evidence), alpha)
+
+
+def _welch(g1: np.ndarray, g0: np.ndarray) -> tuple[float, float]:
+    """Welch's t statistic for mean(g1) - mean(g0) and its degrees of
+    freedom, as ``scipy.stats.ttest_ind(g1, g0, equal_var=False)`` defines
+    them: two constant groups give t = +-inf, or NaN when their means agree.
+    The degrees of freedom are taken from each group's share of the
+    variance, which cannot underflow."""
+    v1, v0 = g1.var(ddof=1) / len(g1), g0.var(ddof=1) / len(g0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stat = (g1.mean() - g0.mean()) / np.sqrt(v1 + v0)
+        r1, r0 = v1 / (v1 + v0), v0 / (v1 + v0)
+        df = 1.0 / (r1 * r1 / (len(g1) - 1) + r0 * r0 / (len(g0) - 1))
+    return float(stat), float(df)
 
 
 def summary_text(report: DependenceReport) -> str:

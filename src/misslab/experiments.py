@@ -126,8 +126,15 @@ class ExperimentConfig:
         # Checks of the fields this study reads, ahead of any replicate.
         read = _MANIFEST_FIELDS[self.experiment]
         for name in ("rho_list", "structures", "q_grid", "maxit_list"):
-            if name in read and getattr(self, name) == ():
+            values = getattr(self, name)
+            if name not in read or values is None:
+                continue
+            if values == ():
                 raise ValueError(f"{name} must list at least one value")
+            # A repeat would run a grid cell twice under one key.
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:
+                raise ValueError(f"{name} lists {repeats[0]!r} more than once")
         for name in ("maxit", "donors", "sim3_maxit"):
             if name in read and getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")

@@ -1,3 +1,5 @@
+import itertools
+import math
 from dataclasses import astuple
 
 import numpy as np
@@ -5,6 +7,8 @@ import pytest
 
 from misslab.analyzer import (
     REPORT_COLUMNS,
+    _chi2_tail,
+    _welch,
     PairStat,
     VERDICT_DATA,
     VERDICT_STRUCTURED,
@@ -16,6 +20,7 @@ from misslab.analyzer import (
 )
 from misslab.builtins import builtin_structures
 from misslab.fixtures import sim3_spec
+from misslab.inference import t_upper_tail
 from misslab.mechanisms import (
     LogisticClause,
     MechanismRule,
@@ -31,8 +36,6 @@ def loop_pairs(bits, alpha):
     """Reference for the pair tests: each pair j < k in turn, its 2x2 table
     counted from the rows and tested in Python arithmetic. Returns the pairs
     and the sign matrix."""
-    from scipy import stats
-
     n, p = bits.shape
     pairs = []
     signs = np.full((p, p), "undetermined", dtype=object)
@@ -52,7 +55,7 @@ def loop_pairs(bits, alpha):
             odds = (a * d) / (b * c)
             total = a + b + c + d
             stat = total * (a * d - b * c) ** 2 / ((a + b) * (c + d) * (a + c) * (b + d))
-            pval = float(stats.chi2.sf(stat, 1))
+            pval = math.erfc(math.sqrt(stat / 2))
             sign = "none"
             if pval < alpha:
                 sign = "positive" if odds > 1.0 else "negative"
@@ -65,8 +68,6 @@ def loop_conditioning(bits, report):
     """Reference for the conditional flags: the Mantel-Haenszel statistic
     of each significant pair given each other column, one stratum at a
     time in Python arithmetic, stratum 0 before stratum 1."""
-    from scipy import stats
-
     out = []
     significant = [ps for ps in report.pairs if ps.p_value < report.alpha]
     for ps in significant:
@@ -89,7 +90,7 @@ def loop_conditioning(bits, report):
                 den += r1 * (ns - r1) * c1 * (ns - c1) / (ns * ns * (ns - 1))
             if degenerate or den == 0.0:
                 continue
-            if float(stats.chi2.sf(num * num / den, 1)) >= report.alpha:
+            if math.erfc(math.sqrt(num * num / den / 2)) >= report.alpha:
                 out.append((ps.j, ps.k, f"given M{l + 1}", "independent"))
     return out
 
@@ -147,6 +148,17 @@ class TestPairwiseDependence:
                 assert conditional == loop_conditioning(bits, report)
                 flagged += len(conditional)
         assert flagged > 20
+
+    def test_chi2_tail_matches_scipy(self):
+        # erfc(sqrt(x / 2)) against chi2.sf(x, 1) from 0 to past the point
+        # where scipy's tail underflows to 0.
+        from scipy import stats
+
+        x = np.concatenate([np.linspace(0.0, 1500.0, 300_001), np.geomspace(1e-300, 1.0, 1000)])
+        ours, ref = _chi2_tail(x), stats.chi2.sf(x, 1)
+        big = ref > 1e-290
+        assert np.all(np.abs(ours[big] - ref[big]) <= 1e-12 * ref[big])
+        assert np.all(ours[~big] < 1e-280) and (~big).sum() > 10_000
 
     def test_type_one_error_rate_calibrated(self):
         rng = np.random.default_rng(12)
@@ -259,6 +271,60 @@ def _masked_matrix(spec, n, seed):
 
 
 class TestAudit:
+    def test_welch_matches_scipy(self):
+        # Group sizes from 2 to 3000 and mean shifts up to 40 standard
+        # deviations, so the p-values span 1 down to below 1e-290.
+        from scipy import stats
+
+        rng = np.random.default_rng(16)
+        smallest = 1.0
+        for _ in range(400):
+            n1, n0 = rng.integers(2, [30, 3000], endpoint=True)
+            g1 = rng.normal(rng.choice([0.0, 0.1, 1.0, 40.0]) * rng.random(), rng.exponential(), n1)
+            g0 = rng.normal(0.0, rng.exponential(), n0)
+            stat, df = _welch(g1, g0)
+            ref = stats.ttest_ind(g1, g0, equal_var=False)
+            assert abs(stat - ref.statistic) <= 1e-12 * abs(ref.statistic)
+            pval = 2.0 * t_upper_tail(abs(stat), df)
+            if ref.pvalue > 1e-290:
+                assert abs(pval - ref.pvalue) <= 1e-10 * ref.pvalue
+                smallest = min(smallest, ref.pvalue)
+            else:
+                assert pval < 1e-280
+        assert smallest < 1e-200
+        # Constant groups: t is infinite with p = 0, or undefined.
+        assert _welch(np.ones(3), np.zeros(2))[0] == np.inf
+        assert t_upper_tail(math.inf, _welch(np.ones(3), np.zeros(2))[1]) == 0.0
+        assert math.isnan(_welch(np.ones(3), np.ones(4))[0])
+        # Scaling the data leaves t and df alone, also where the squared
+        # variances underflow.
+        g1, g0 = rng.normal(1.0, 1.0, 20), rng.normal(0.0, 2.0, 30)
+        for scale in (1e-150, 1e150):
+            assert _welch(scale * g1, scale * g0) == pytest.approx(_welch(g1, g0), rel=1e-12)
+
+    def test_data_rows_equal_scipy_reference(self):
+        spec = MechanismSpec(rules=(
+            MechanismRule(0, (TableClause.bernoulli(0.3),)),
+            MechanismRule(1, (LogisticClause(0.0, ((data_col(0), 0.3),)),)),
+            MechanismRule(2, (TableClause.bernoulli(0.02),)),
+        ))
+        from scipy import stats
+
+        for seed in range(5):
+            d = _masked_matrix(spec, 400, 60 + seed)
+            rows = mcar_structure_audit(d).data_associations
+            bits = d.missing.bits
+            ref = []
+            for j, k in itertools.permutations(range(3), 2):
+                if 0.0 < bits[:, j].mean() < 1.0:
+                    vals, groups = d.values[bits[:, k] == 0, k], bits[bits[:, k] == 0, j]
+                    t = stats.ttest_ind(vals[groups == 1], vals[groups == 0], equal_var=False)
+                    ref.append((j, k, t.statistic, t.pvalue))
+            assert len(rows) == len(ref) > 0
+            for row, want in zip(rows, ref):
+                assert row[:2] == want[:2]
+                assert row[2:] == pytest.approx(want[2:], rel=1e-10)
+
     def test_unstructured_verdict_rate(self):
         spec = builtin_structures("mcar_u_1", p=5)
         verdicts = []

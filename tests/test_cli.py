@@ -402,6 +402,12 @@ class TestExperimentVerb:
         ("sim3", {"q_grid": []}, "q_grid must list at least one value"),
         ("sim2", {"maxit_list": []}, "maxit_list must list at least one value"),
         ("sim2", {"maxit_list": [0]}, "maxit_list entries must be positive integers"),
+        ("sim2", {"q_grid": [0.5, 0.5]}, "q_grid lists 0.5 more than once"),
+        ("sim3", {"q_grid": [0.0, 1.0, -0.0]}, "q_grid lists -0.0 more than once"),
+        ("sim2", {"maxit_list": [1, 5, 1]}, "maxit_list lists 1 more than once"),
+        ("sim1", {"rho_list": [0, 0.4, 0.0]}, "rho_list lists 0.0 more than once"),
+        ("sim1", {"structures": ["mcar_u_1", "complete", "mcar_u_1"]},
+         "structures lists 'mcar_u_1' more than once"),
         ("sim3", {"sim3_maxit": 0}, "sim3_maxit must be a positive integer"),
         ("sim1", {"maxit": 0}, ": maxit must be a positive integer"),
         ("sim1", {"missing_rate": 2},
@@ -562,6 +568,48 @@ def test_cli_import_skips_scipy_stats(tmp_path, data_file):
                    check=True, env=_subprocess_env(), stdout=subprocess.DEVNULL)
     # The pair is significant, so the conditioning pass ran too.
     assert "M1 ~ M2:" in (tmp_path / "report.summary.txt").read_text()
+
+
+def test_statistics_skip_scipy(tmp_path, data_file):
+    # P-values and t quantiles are computed in misslab, so no verb, pooling,
+    # audit or inference study loads scipy.special or scipy.stats, which
+    # together cost a process about 26 MB.
+    rng = np.random.default_rng(2)
+    bits = (rng.random((300, 4)) < 0.3).astype(np.uint8)
+    bits[:, 1] = bits[:, 0] ^ (rng.random(300) < 0.1)  # a significant pair
+    write_mask_csv(MissMask(bits), tmp_path / "mask.csv")
+    (tmp_path / "order.txt").write_text("X2,X1,X4,X3\n")
+    data = np.loadtxt(data_file, delimiter=",", skiprows=1)
+    data[rng.random(data.shape) < 0.2] = np.nan
+    write_csv(DataMatrix(data, MissMask(np.isnan(data)), ("Z", "X1", "X2")),
+              tmp_path / "incomplete.csv")
+    verbs = [
+        ["analyze", "--mask", tmp_path / "mask.csv", "--out", tmp_path / "plain"],
+        ["analyze", "--mask", tmp_path / "mask.csv", "--ordering", tmp_path / "order.txt",
+         "--out", tmp_path / "report"],
+        ["impute", "--data", tmp_path / "incomplete.csv", "--m", "2", "--maxit", "2",
+         "--seed", "3", "--out", tmp_path / "imp"],
+        ["impute", "--data", tmp_path / "incomplete.csv", "--method", "norm", "--m", "2",
+         "--maxit", "2", "--seed", "3", "--out", tmp_path / "norm"],
+    ]
+    code = ("import json, sys; from misslab.cli import dispatch; "
+            "from misslab.analyzer import mcar_structure_audit; "
+            "from misslab.inference import pool; "
+            "from misslab.experiments import ExperimentConfig, run_experiment; "
+            "from misslab.tabular import read_csv; "
+            "assert [dispatch(v) for v in json.loads(sys.argv[1])] == [0, 0, 0, 0]; "
+            "assert pool([1.0, 2.0], [1.0, 1.0]).ci_low < 1.5; "
+            "assert mcar_structure_audit(read_csv(sys.argv[2])).data_associations; "
+            "run_experiment(ExperimentConfig('sim2', n_replicates=1, seed=5, n=100, m=2, "
+            "q_grid=(0.5,), maxit_list=(2,), threads=1)); "
+            "run_experiment(ExperimentConfig('sim3', n_replicates=1, seed=5, n=200, m=2, "
+            "q_grid=(0.5,), sim3_maxit=2, threads=1)); "
+            "assert not {'scipy.special', 'scipy.stats'} & set(sys.modules)")
+    subprocess.run([sys.executable, "-c", code, json.dumps([[str(a) for a in v] for v in verbs]),
+                    str(tmp_path / "incomplete.csv")],
+                   check=True, env=_subprocess_env(), stdout=subprocess.DEVNULL)
+    # The pair is significant, so the conditioning pass ran too.
+    assert "M1 ~ M2:" in (tmp_path / "plain.summary.txt").read_text()
 
 
 def test_verbs_skip_the_study_imports(tmp_path, spec_file, data_file):

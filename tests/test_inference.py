@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from misslab.inference import (
+    _t_quantile,
     ols_fit,
     pool,
     predict_mse,
@@ -70,20 +72,36 @@ class TestPool:
             assert pe.total == pe.within
         assert pe.ci_low <= pe.estimate <= pe.ci_high
 
-    @pytest.mark.parametrize("level", [0.90, 0.95, 0.99])
+    @pytest.mark.parametrize("level", [0.5, 0.8, 0.90, 0.95, 0.99, 0.999])
     def test_interval_is_the_student_t_quantile(self, level):
-        # pool takes its quantile from scipy.special; it must give the bits
-        # stats.t.ppf gives, from df near 1 up to inf (equal estimates).
+        # The interval is exactly est -+ crit * sqrt(T), and crit stays
+        # within 1e-12 of stats.t.ppf from df near 1 up to inf (equal
+        # estimates).
         from scipy import stats
         dfs = []
         for m in (2, 3, 5, 20):
             for spread in [0.0, *np.geomspace(1e-8, 1e4, 50)]:
                 pe = pool(spread * np.linspace(-1.0, 1.0, m), np.linspace(0.5, 2.0, m),
                           level=level)
-                half = float(stats.t.ppf(0.5 * (1.0 + level), pe.df)) * np.sqrt(pe.total)
+                crit = _t_quantile(pe.df, 0.5 * (1.0 + level))
+                half = crit * np.sqrt(pe.total)
                 assert (pe.ci_low, pe.ci_high) == (pe.estimate - half, pe.estimate + half)
+                ref = float(stats.t.ppf(0.5 * (1.0 + level), pe.df))
+                assert abs(crit - ref) <= 1e-12 * ref
                 dfs.append(pe.df)
         assert math.inf in dfs and min(dfs) < 1.5 and max(d for d in dfs if d < math.inf) > 1e15
+
+    @pytest.mark.parametrize("level", [0.5, 0.8, 0.90, 0.95, 0.99, 0.999])
+    def test_t_quantile_closed_forms(self, level):
+        p = 0.5 * (1.0 + level)
+        q = 1.0 - p
+        # df = 1: tan(pi (p - 1/2)), written as 1 / tan(pi q) to keep its
+        # digits near p = 1.
+        assert _t_quantile(1.0, p) == pytest.approx(1.0 / math.tan(math.pi * q), rel=1e-14, abs=0)
+        # df = 2: (2p - 1) / sqrt(2p (1 - p)).
+        assert _t_quantile(2.0, p) == pytest.approx((p - q) / math.sqrt(2.0 * p * q),
+                                                    rel=1e-14, abs=0)
+        assert _t_quantile(math.inf, p) == NormalDist().inv_cdf(p)
 
     def test_interval_widens_with_between_variance(self):
         tight = pool([1.0, 1.01, 0.99], [0.1] * 3)
