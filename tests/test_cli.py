@@ -402,12 +402,6 @@ class TestExperimentVerb:
         ("sim3", {"q_grid": []}, "q_grid must list at least one value"),
         ("sim2", {"maxit_list": []}, "maxit_list must list at least one value"),
         ("sim2", {"maxit_list": [0]}, "maxit_list entries must be positive integers"),
-        ("sim2", {"q_grid": [0.5, 0.5]}, "q_grid lists 0.5 more than once"),
-        ("sim3", {"q_grid": [0.0, 1.0, -0.0]}, "q_grid lists -0.0 more than once"),
-        ("sim2", {"maxit_list": [1, 5, 1]}, "maxit_list lists 1 more than once"),
-        ("sim1", {"rho_list": [0, 0.4, 0.0]}, "rho_list lists 0.0 more than once"),
-        ("sim1", {"structures": ["mcar_u_1", "complete", "mcar_u_1"]},
-         "structures lists 'mcar_u_1' more than once"),
         ("sim3", {"sim3_maxit": 0}, "sim3_maxit must be a positive integer"),
         ("sim1", {"maxit": 0}, ": maxit must be a positive integer"),
         ("sim1", {"missing_rate": 2},
@@ -417,6 +411,24 @@ class TestExperimentVerb:
     ])
     def test_empty_study_size_exits_one(self, tmp_path, capsys, experiment, override,
                                         message):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(override))
+        code = run(["experiment", "--id", experiment, "--reps", 1, "--seed", 1,
+                    "--config", config, "--out", tmp_path / "o"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("experiment, override, message", [
+        ("sim2", {"q_grid": [0.5, 0.5]}, "q_grid lists 0.5 more than once"),
+        ("sim3", {"q_grid": [0.0, 1.0, -0.0]}, "q_grid lists -0.0 more than once"),
+        ("sim2", {"maxit_list": [1, 5, 1]}, "maxit_list lists 1 more than once"),
+        ("sim1", {"rho_list": [0, 0.4, 0.0]}, "rho_list lists 0.0 more than once"),
+        ("sim1", {"structures": ["mcar_u_1", "complete", "mcar_u_1"]},
+         "structures lists 'mcar_u_1' more than once"),
+    ])
+    def test_repeated_grid_entry_exits_one(self, tmp_path, capsys, experiment,
+                                           override, message):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(override))
         code = run(["experiment", "--id", experiment, "--reps", 1, "--seed", 1,
