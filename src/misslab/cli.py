@@ -5,9 +5,13 @@ Verbs: ``simulate`` (draw a mask from a mechanism spec), ``classify``
 ``impute`` (chained-equations imputation of a CSV), ``experiment`` (the
 three studies), ``export-graph`` (DOT rendering of a spec).
 
-Exit codes: 0 success, 1 argument/validation problems (message names the
-offending flag or field), 2 runtime failures. Stochastic verbs refuse to
-run without ``--seed``; no clock seeding ever happens, so re-running a
+Exit codes: 0 success; 1 for any failure the inputs and flags determine,
+raised as a ``ValueError``: a malformed flag, file, spec or config, and a
+data set the engine cannot use (a singular design, a column with no
+observed values, a non-finite predictor or draw), with one line naming
+the flag, field or column; 2 for a failure of the run itself, such as an
+``OSError``, a ``MemoryError`` or a bug. Stochastic verbs refuse to run
+without ``--seed``; no clock seeding ever happens, so re-running a
 command reproduces its outputs byte for byte.
 """
 
@@ -19,8 +23,6 @@ import sys
 from dataclasses import asdict, astuple
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from . import __version__
 from .analyzer import (
@@ -39,7 +41,6 @@ from .impute import (
     fcs_impute,
 )
 from .mechanisms import (
-    SpecificationError,
     classify,
     load_spec,
     parse_json,
@@ -63,15 +64,11 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; the contract here is exit 1 with usage.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> _Parser:
@@ -124,16 +121,16 @@ def _build_parser() -> _Parser:
 
 def _require_seed(args) -> int:
     if args.seed is None:
-        raise _UsageError("--seed is required (no clock seeding)")
+        raise ValueError("--seed is required (no clock seeding)")
     if args.seed < 0:
-        raise _UsageError("--seed must be a non-negative integer")
+        raise ValueError("--seed must be a non-negative integer")
     return args.seed
 
 
 def _require_file(path: str, flag: str) -> Path:
     p = Path(path)
     if not p.is_file():
-        raise _UsageError(f"{flag}: no such file: {path}")
+        raise ValueError(f"{flag}: no such file: {path}")
     return p
 
 
@@ -142,7 +139,7 @@ def _cmd_simulate(args) -> int:
     spec = load_spec(_require_file(args.spec, "--spec"))
     data = read_csv(_require_file(args.data, "--data"))
     if not data.is_complete():
-        raise _UsageError("--data: simulate needs complete data (no empty fields)")
+        raise ValueError("--data: simulate needs complete data (no empty fields)")
     mask = simulate_mask(spec, data, seed)
     write_mask_csv(mask, args.out, data.col_names)
     return EXIT_OK
@@ -184,9 +181,9 @@ def _read_ignore(path: Path, n: int) -> tuple[bool, ...]:
     try:
         flags = read_flags(path)
     except ValueError as exc:
-        raise _UsageError(f"--ignore: entries must be 0 or 1, one per line ({exc})") from None
+        raise ValueError(f"--ignore: entries must be 0 or 1, one per line ({exc})") from None
     if len(flags) != n:
-        raise _UsageError(f"--ignore: expected {n} rows of 0/1, found {len(flags)}")
+        raise ValueError(f"--ignore: expected {n} rows of 0/1, found {len(flags)}")
     return tuple(flags.astype(bool).tolist())
 
 
@@ -205,10 +202,6 @@ def _cmd_impute(args) -> int:
         ignore=ignore,
         seed=seed,
     )
-    try:
-        cfg.validate(data.n)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
     result = fcs_impute(data, cfg)
     prefix = Path(args.out)
     if prefix.parent != Path(""):
@@ -244,14 +237,14 @@ def _cmd_experiment(args) -> int:
     from .experiments import EXPERIMENT_IDS, run_experiment
 
     if args.id not in EXPERIMENT_IDS:
-        raise _UsageError(f"--id: invalid choice {args.id!r} "
+        raise ValueError(f"--id: invalid choice {args.id!r} "
                           f"(choose from {', '.join(EXPERIMENT_IDS)})")
     overrides = {}
     if args.config is not None:
         cfg_path = _require_file(args.config, "--config")
-        overrides = parse_json(cfg_path.read_text(), "--config")
+        overrides = parse_json(cfg_path.read_bytes(), "--config")
         if not isinstance(overrides, dict):
-            raise _UsageError("--config: top level must be an object")
+            raise ValueError("--config: top level must be an object")
     seed = _require_seed(args)
     overrides["experiment"] = args.id
     overrides["seed"] = seed
@@ -260,12 +253,7 @@ def _cmd_experiment(args) -> int:
         overrides["reps"] = args.reps
     if args.threads is not None:
         overrides["threads"] = args.threads
-    cfg = config_from_mapping(overrides)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    run_experiment(cfg)
+    run_experiment(config_from_mapping(overrides))
     return EXIT_OK
 
 
@@ -279,8 +267,8 @@ def config_from_mapping(values: dict) -> ExperimentConfig:
     known = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(values) - known
     if unknown:
-        raise _UsageError(
-            f"--config: unknown fields: {', '.join(sorted(unknown))}"
+        raise ValueError(
+            f"--config: unknown fields: {', '.join(map(repr, sorted(unknown)))}"
         )
     return ExperimentConfig(**values)
 
@@ -311,23 +299,16 @@ def dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if args.verb is None:
             parser.print_usage(sys.stderr)
-            print("misslab: a verb is required", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("a verb is required")
         return _COMMANDS[args.verb](args)
-    except _UsageError as exc:
+    except ValueError as exc:
+        # Every failure the inputs determine: the message names its cause.
         print(f"misslab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except np.linalg.LinAlgError as exc:
-        verb = argv[0] if argv else "?"
-        print(f"misslab: {verb} failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (SpecificationError, ValueError) as exc:
-        print(f"misslab: invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:
         # argparse --help / --version land here; propagate its code.
         return int(exc.code or 0)
-    except Exception as exc:  # noqa: BLE001 - boundary: report and exit 2
+    except Exception as exc:  # noqa: BLE001 - boundary: a failure of the run
         verb = argv[0] if argv else "?"
         print(f"misslab: {verb} failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -28,12 +28,7 @@ from . import __version__
 from .analyzer import pairwise_dependence
 from .builtins import BUILTIN_NAMES, builtin_structures
 from .fixtures import sim2_label, sim2_spec, sim3_label, sim3_spec
-from .impute import (
-    CollinearityError,
-    ImputationConfig,
-    UnimputableColumnError,
-    fcs_impute,
-)
+from .impute import ImputationConfig, fcs_impute
 from .inference import ols_fit, pool, predict_mse, replicate_metrics
 from .mechanisms import (
     MechanismSpec,
@@ -187,18 +182,16 @@ def _compound_symmetry_chol(p: int, rho: float) -> np.ndarray:
     return np.linalg.cholesky(sigma)
 
 
-def _impute_cell(dm: DataMatrix, impcfg: ImputationConfig, cell: str):
-    """``fcs_impute`` for one study cell. A sample too small for the
-    imputation model (a column never observed, or a singular design such as
-    an indicator that is constant where its target is observed) is a
-    problem of the configured size: it is reported as a ``ValueError``
-    naming the cell."""
+def _study_cell(cell: str, fn, *args):
+    """``fn(*args)`` for one study cell. The studies draw data that their
+    models can use at any large enough size, so a ``ValueError`` here (a
+    column never observed, a singular design such as an indicator constant
+    where its target is observed, or no rows left to fit or score) is a
+    problem of the configured size: it is raised again naming the cell."""
     try:
-        return fcs_impute(dm, impcfg)
-    except (CollinearityError, UnimputableColumnError) as exc:
-        raise ValueError(
-            f"{cell}: {exc}; the sample is too small for this imputation model"
-        ) from None
+        return fn(*args)
+    except ValueError as exc:
+        raise ValueError(f"{cell}: {exc}; the sample is too small for this model") from None
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +207,6 @@ def _sim1_cell(
     test_missing: bool,
     cfg: ExperimentConfig,
     impute_seed: np.random.SeedSequence,
-    cell: str,
 ) -> float:
     n_train = cfg.n_train
     n = x.shape[0]
@@ -222,22 +214,18 @@ def _sim1_cell(
     if not test_missing:
         bits[n_train:, :] = 0
 
-    if name == "complete" or not bits.any():
-        fit = ols_fit(y[:n_train], _with_intercept(x[:n_train]))
-        pred = fit.predict(_with_intercept(x[n_train:]))
-        return float(np.mean((pred - y[n_train:]) ** 2))
-
-    if name == "unit_block":
-        # Fully missing subjects are dropped, not imputed.
-        full_rows = bits.all(axis=1)
-        train_keep = ~full_rows[:n_train]
-        test_keep = ~full_rows[n_train:]
-        fit = ols_fit(y[:n_train][train_keep],
-                      _with_intercept(x[:n_train][train_keep]))
-        x_eval = x[n_train:][test_keep]
-        y_eval = y[n_train:][test_keep]
-        pred = fit.predict(_with_intercept(x_eval))
-        return float(np.mean((pred - y_eval) ** 2))
+    if name in ("complete", "unit_block") or not bits.any():
+        # Fully missing subjects, which only unit_block has, are dropped,
+        # not imputed.
+        keep = ~bits.all(axis=1)
+        train = np.flatnonzero(keep[:n_train])
+        test = n_train + np.flatnonzero(keep[n_train:])
+        for rows, kept in (("training", train), ("test", test)):
+            if not kept.size:
+                raise ValueError(f"every {rows} row is fully missing")
+        fit = ols_fit(y[train], _with_intercept(x[train]))
+        pred = fit.predict(_with_intercept(x[test]))
+        return float(np.mean((pred - y[test]) ** 2))
 
     dm = DataMatrix(x.copy(), MissMask(bits), default_names(cfg.p))
     ignore = np.zeros(n, dtype=bool)
@@ -250,7 +238,7 @@ def _sim1_cell(
         ignore=tuple(ignore),
         seed=impute_seed,
     )
-    result = _impute_cell(dm, impcfg, cell)
+    result = fcs_impute(dm, impcfg)
     preds = np.empty((cfg.m, n - n_train))
     for k, completed in enumerate(result.completed):
         fit = ols_fit(y[:n_train], _with_intercept(completed[:n_train]))
@@ -280,7 +268,10 @@ def _sim1_replicate(cfg: ExperimentConfig, rep: int) -> list[dict]:
             )
             for t_idx, test_missing in enumerate((False, True)):
                 setting = "missing" if test_missing else "complete"
-                mse = _sim1_cell(
+                mse = _study_cell(
+                    f"study 1 at n_train={cfg.n_train}, rho={rho}, structure "
+                    f"{name}, test rows {setting}, replicate {rep}",
+                    _sim1_cell,
                     x,
                     y,
                     mask.bits,
@@ -288,8 +279,6 @@ def _sim1_replicate(cfg: ExperimentConfig, rep: int) -> list[dict]:
                     test_missing,
                     cfg,
                     _seed_seq(cfg, rho_idx, rep, 2, s_idx, t_idx),
-                    f"study 1 at n_train={cfg.n_train}, rho={rho}, structure "
-                    f"{name}, test rows {setting}, replicate {rep}",
                 )
                 rows.append(
                     {
@@ -369,7 +358,9 @@ def _sim2_replicate(cfg: ExperimentConfig, rep: int) -> list[dict]:
         mask = simulate_mask(spec, x, _seed_seq(cfg, q_idx, rep, 1))
         dm = DataMatrix(x.copy(), mask, ("X1", "X2", "X3"))
         for m_idx, maxit in enumerate(cfg.maxit_list):
-            result = _impute_cell(
+            result = _study_cell(
+                f"study 2 at n={n}, q={q}, replicate {rep}, maxit {maxit}",
+                fcs_impute,
                 dm,
                 ImputationConfig(
                     m=cfg.m,
@@ -377,7 +368,6 @@ def _sim2_replicate(cfg: ExperimentConfig, rep: int) -> list[dict]:
                     method="norm",
                     seed=_seed_seq(cfg, q_idx, rep, 2, m_idx),
                 ),
-                f"study 2 at n={n}, q={q}, replicate {rep}, maxit {maxit}",
             )
             estimates, variances = [], []
             for completed in result.completed:
@@ -460,7 +450,9 @@ def _sim3_replicate(cfg: ExperimentConfig, rep: int) -> list[dict]:
                 1,
             ),
         ):
-            result = _impute_cell(
+            result = _study_cell(
+                f"study 3 at n={n}, q={q}, replicate {rep}, approach {approach}",
+                fcs_impute,
                 dm,
                 ImputationConfig(
                     m=cfg.m,
@@ -470,7 +462,6 @@ def _sim3_replicate(cfg: ExperimentConfig, rep: int) -> list[dict]:
                         cfg, q_idx, rep, 2, 0 if approach == "fcs_on_values" else 1
                     ),
                 ),
-                f"study 3 at n={n}, q={q}, replicate {rep}, approach {approach}",
             )
             estimates, variances = [], []
             for completed in result.completed:

@@ -36,14 +36,35 @@ DEFAULT_RIDGE = 1e-5
 
 
 class CollinearityError(np.linalg.LinAlgError):
-    """Normal equations singular even after ridging."""
+    """Normal equations singular even after ridging. ``columns`` are the
+    design columns beyond the numerical rank; ``where`` names the column
+    and sweep being drawn (empty for a lone draw)."""
 
-    def __init__(self, columns):
+    def __init__(self, columns, where=""):
         self.columns = tuple(int(c) for c in columns)
+        self.where = where
         super().__init__(
-            "design is singular; collinear design columns: "
+            f"design is singular{where}; collinear design columns: "
             + ", ".join(str(c) for c in self.columns)
         )
+
+    # Study workers return errors by pickle, whose default rebuilds an error
+    # from ``args``: here only the message.
+    def __reduce__(self):
+        return type(self), (self.columns, self.where)
+
+
+class NonFiniteDrawError(ValueError):
+    """A chain's draw, or the predictions PMM matches on, is not finite;
+    ``where`` names the column and sweep (empty for a lone draw)."""
+
+    def __init__(self, chain, where=""):
+        self.chain = int(chain)
+        self.where = where
+        super().__init__(f"non-finite imputation{where} in chain {chain}")
+
+    def __reduce__(self):
+        return type(self), (self.chain, self.where)
 
 
 class UnimputableColumnError(ValueError):
@@ -51,10 +72,14 @@ class UnimputableColumnError(ValueError):
 
     def __init__(self, column, name=None):
         self.column = int(column)
+        self.name = name
         label = f"{name!r} (index {column})" if name is not None else str(column)
         super().__init__(
             f"column {label} has no observed values among fitting rows"
         )
+
+    def __reduce__(self):
+        return type(self), (self.column, self.name)
 
 
 @dataclass(frozen=True)
@@ -104,15 +129,7 @@ class RegressionDraw:
     sigma: np.ndarray | float
 
 
-class _NonFiniteDraw(FloatingPointError):
-    """A chain's draw, or the predictions PMM matches on, is not finite."""
-
-    def __init__(self, chain: int):
-        self.chain = chain
-        super().__init__(f"non-finite draw in chain {chain}")
-
-
-def _collinear(x_obs: np.ndarray) -> CollinearityError:
+def _collinear(x_obs: np.ndarray, where: str) -> CollinearityError:
     """The error for a design whose normal equations cannot be factored:
     the columns a pivoted QR finds beyond the numerical rank."""
     from scipy import linalg as sla  # slow to import; only this error path needs it
@@ -122,10 +139,10 @@ def _collinear(x_obs: np.ndarray) -> CollinearityError:
     diag = np.abs(np.diag(r))
     tol = diag.max() * max(n, k) * np.finfo(float).eps if diag.size else 0.0
     rank = int((diag > tol).sum())
-    return CollinearityError(sorted(piv[rank:]))
+    return CollinearityError(sorted(piv[rank:]), where)
 
 
-def _draw(y_obs, x_obs, x_mis, donors, ridge, rngs) -> RegressionDraw:
+def _draw(y_obs, x_obs, x_mis, donors, ridge, rngs, where="") -> RegressionDraw:
     """One column's draws for every chain at once.
 
     ``y_obs`` is (m, n_obs), ``x_obs`` (m, n_obs, k) and ``x_mis``
@@ -141,8 +158,8 @@ def _draw(y_obs, x_obs, x_mis, donors, ridge, rngs) -> RegressionDraw:
     the solves are batched NumPy calls over the chain axis.
 
     Raises :class:`CollinearityError` for the lowest chain whose equations
-    cannot be factored and :class:`_NonFiniteDraw` for the lowest chain
-    whose draw is not finite.
+    cannot be factored and :class:`NonFiniteDrawError` for the lowest chain
+    whose draw is not finite, each locating the draw by ``where``.
     """
     m, n_obs, k = x_obs.shape
     xt = x_obs.transpose(0, 2, 1)
@@ -157,7 +174,7 @@ def _draw(y_obs, x_obs, x_mis, donors, ridge, rngs) -> RegressionDraw:
             try:
                 np.linalg.cholesky(s[c])
             except np.linalg.LinAlgError:
-                raise _collinear(x_obs[c]) from None
+                raise _collinear(x_obs[c], where) from None
         raise
     beta_hat = np.linalg.solve(s, xt @ y_obs[..., None])[..., 0]
     dof = max(n_obs - k, 1)
@@ -181,7 +198,7 @@ def _draw(y_obs, x_obs, x_mis, donors, ridge, rngs) -> RegressionDraw:
     else:
         bad = ~(np.isfinite(fit).all(axis=1) & np.isfinite(eta_mis).all(axis=1))
     if bad.any():
-        raise _NonFiniteDraw(int(bad.argmax()))
+        raise NonFiniteDrawError(bad.argmax(), where)
     if donors is not None:
         # Observed rows score with the point estimate, missing rows with
         # the posterior draw.
@@ -192,7 +209,7 @@ def _draw(y_obs, x_obs, x_mis, donors, ridge, rngs) -> RegressionDraw:
 
 def _quiet_draws() -> np.errstate:
     """Silence NumPy's overflow, divide and invalid warnings. A draw that
-    goes non-finite raises :class:`_NonFiniteDraw`, so the warnings would
+    goes non-finite raises :class:`NonFiniteDrawError`, so the warnings would
     only print ahead of that error. Entered once per public call, not once
     per draw."""
     return np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -442,14 +459,15 @@ def fcs_impute(x: DataMatrix, cfg: ImputationConfig) -> ImputationResult:
     draws from the generator of ``SeedSequence(seed).spawn(m)[c]``, so its
     values do not depend on the other chains.
 
-    Raises :class:`UnimputableColumnError` when a column has missing cells
-    but no observed values among non-ignored rows, and ``ValueError`` on
-    non-finite observed input. A draw that fails aborts the run: a singular
-    design raises :class:`CollinearityError` naming the collinear design
-    columns, a non-finite draw raises ``FloatingPointError`` naming the
-    column, sweep and chain. When several chains fail, the error is the
-    one at the first (sweep, column) at which any chain fails, for the
-    lowest such chain.
+    Every error it raises is a ``ValueError``, since each follows from the
+    data and ``cfg``: :class:`UnimputableColumnError` when a column has
+    missing cells but no observed values among non-ignored rows, and a
+    plain ``ValueError`` on an invalid ``cfg`` or non-finite observed input.
+    A draw that fails aborts the run, naming the column and sweep: a
+    singular design raises :class:`CollinearityError` with the collinear
+    design columns, a non-finite draw :class:`NonFiniteDrawError` with the
+    chain. When several chains fail, the error is the one at the first
+    (sweep, column) at which any chain fails, for the lowest such chain.
     """
     bits = x.missing.bits
     logical = x.missing.logical_bits()
@@ -513,15 +531,10 @@ def fcs_impute(x: DataMatrix, cfg: ImputationConfig) -> ImputationResult:
                 # Sparse columns can have fewer observed rows than the requested
                 # pool; matching still works with what exists.
                 donors = None if cfg.method == "norm" else min(cfg.donors, rows.size)
-                try:
-                    draw = _draw(np.take(work[..., j], rows, axis=1),
-                                 _design(stack, rows, j), _design(stack, mis, j),
-                                 donors, cfg.ridge, rngs)
-                except _NonFiniteDraw as exc:
-                    raise FloatingPointError(
-                        f"non-finite imputation for column {x.col_names[j]!r} "
-                        f"at sweep {it + 1} in chain {exc.chain}"
-                    ) from None
+                draw = _draw(np.take(work[..., j], rows, axis=1),
+                             _design(stack, rows, j), _design(stack, mis, j),
+                             donors, cfg.ridge, rngs,
+                             f" for column {x.col_names[j]!r} at sweep {it + 1}")
                 work[:, mis, j] = draw.values
                 chain_means[:, it, j] = draw.values.mean(axis=1)
                 if mis.size >= 2:

@@ -131,12 +131,15 @@ def t_upper_tail(t: float, df: float) -> float:
     close to 1 for that fraction to converge fast, it is 1/2 minus half the
     complement I_y(1/2, df/2), y = 1 - x. Against 40-digit arithmetic it
     is within 5e-14 relative where the tail exceeds 1e-100, and 2e-13 down
-    to 1e-290.
+    to 1e-290. At t = 0 and t = inf the tail holds for any df; otherwise a
+    NaN argument gives NaN.
     """
     if t == 0.0:
         return 0.5
     if t == math.inf:
         return 0.0
+    if math.isnan(t) or math.isnan(df):
+        return math.nan  # the continued fraction would never converge
     a = 0.5 * df
     s = t * t / df
     x, y = 1.0 / (1.0 + s), s / (1.0 + s)
@@ -167,7 +170,10 @@ def _t_quantile(df: float, p: float) -> float:
     is within 3e-14 relative for 0.75 <= p <= 0.9995. Beyond 0.9995 the
     expansion's error grows (2e-13 at p = 1 - 1e-10, df = 2300); below 0.75
     the error grows as 1e-17 / (p - 1/2), since the tail is then near 1/2.
+    A NaN ``df`` gives NaN.
     """
+    if math.isnan(df):
+        return math.nan
     from statistics import NormalDist  # 6 ms to import; only pooling needs it
 
     z = NormalDist().inv_cdf(p)

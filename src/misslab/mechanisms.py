@@ -59,7 +59,7 @@ class SpecificationError(ValueError):
     file or study config overrides) does not parse or fit its types."""
 
 
-class EvaluationError(RuntimeError):
+class EvaluationError(ValueError):
     """Rule evaluation failed on concrete data (e.g. non-finite predictor)."""
 
 
@@ -174,8 +174,10 @@ class LogisticClause:
 
     def apply(self, ctx: "_EvalContext", out: "_RuleOutcome") -> None:
         eta = np.full(ctx.n, self.intercept, dtype=float)
-        for ref, coef in self.terms:
-            eta += coef * ctx.resolve(ref)
+        # An overflow ends in the error below, so NumPy's warning is muted.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ref, coef in self.terms:
+                eta += coef * ctx.resolve(ref)
         if not np.isfinite(eta).all():
             raise EvaluationError(
                 f"non-finite linear predictor in rule for column {out.target}"
@@ -1021,12 +1023,13 @@ def read_typed(tp, value, path: str = ""):
     return tp(**kwargs)
 
 
-def parse_json(text: str, source: str):
-    """The JSON value of ``text``; malformed or too deeply nested text raises
-    a SpecificationError naming ``source``."""
+def parse_json(text: str | bytes, source: str):
+    """The JSON value of ``text``, given as a string or as UTF-8 bytes;
+    bytes that are not UTF-8, malformed text and too deeply nested text
+    raise a SpecificationError naming ``source``."""
     try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        return json.loads(text.decode() if isinstance(text, bytes) else text)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SpecificationError(f"{source}: not valid JSON: {exc}") from None
 
 
@@ -1039,9 +1042,9 @@ def save_spec(spec: MechanismSpec, path: str | Path) -> None:
     Path(path).write_text(dumps_spec(spec))
 
 
-def loads_spec(text: str) -> MechanismSpec:
+def loads_spec(text: str | bytes) -> MechanismSpec:
     return read_typed(MechanismSpec, parse_json(text, "spec file"))
 
 
 def load_spec(path: str | Path) -> MechanismSpec:
-    return loads_spec(Path(path).read_text())
+    return loads_spec(Path(path).read_bytes())

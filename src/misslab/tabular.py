@@ -497,7 +497,11 @@ def read_ordering(path: str | Path, col_names: Sequence[str]) -> tuple[int, ...]
     grammar, empty ones and blank lines included, raises naming
     ``path:line``."""
     names = list(col_names)
-    text = Path(path).read_text().replace("\r\n", "\n").removesuffix("\n")
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    text = text.replace("\r\n", "\n").removesuffix("\n")
     order: list[int] = []
     for line, row in enumerate(text.split("\n"), 1):
         for t in row.split(","):

@@ -326,7 +326,9 @@ class TestImpute:
         assert "ridge must be a finite number >= 0" in capsys.readouterr().err
         assert not list(tmp_path.glob("o.*"))
 
-    def test_collinear_design_exits_two(self, tmp_path, capsys):
+    def test_collinear_design_exits_one(self, tmp_path, capsys):
+        # A singular design is a property of the data: exit 1, naming the
+        # column whose model could not be fitted.
         base = np.random.default_rng(4).normal(size=40)
         values = np.column_stack([base, base, base])
         bits = np.zeros((40, 3), dtype=np.uint8)
@@ -336,8 +338,22 @@ class TestImpute:
         code = run(["impute", "--data", src, "--method", "norm", "--ridge", 0,
                     "--m", 2, "--maxit", 1, "--seed", 8,
                     "--out", tmp_path / "bad"])
-        assert code == 2
-        assert "collinear" in capsys.readouterr().err
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "misslab: design is singular for column 'c' at sweep 1; "
+            "collinear design columns: 2\n")
+        assert not list(tmp_path.glob("bad.*"))
+
+    @pytest.mark.parametrize("method", ["norm", "pmm"])
+    def test_non_finite_draw_exits_one(self, tmp_path, capsys, method):
+        src = tmp_path / "in.csv"
+        src.write_text("a,b\n" + "".join(f"{i},{(-1) ** i * 1e308}\n" for i in range(8))
+                       + "8,\n9,\n")
+        code = run(["impute", "--data", src, "--method", method, "--m", 2,
+                    "--maxit", 1, "--seed", 1, "--out", tmp_path / "o"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "misslab: non-finite imputation for column 'b' at sweep 1 in chain 0\n")
 
 
 class TestExperimentVerb:
@@ -450,6 +466,43 @@ class TestExperimentVerb:
         assert code == 1, err
         assert ("study 3 at n=12, q=0.5, replicate 2, approach regress_on_indicator: "
                 "design is singular") in err
+        assert "too small" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_sample_too_small_reads_the_same_on_two_processes(self, tmp_path, capsys):
+        # Study workers send their errors back by pickle.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"n": 12, "m": 2, "q_grid": [0.0, 0.5, 1.0], "sim3_maxit": 1}
+        ))
+        errors = []
+        for threads in (1, 2):
+            code = run(["experiment", "--id", "sim3", "--reps", 3, "--seed", 1,
+                        "--config", config, "--threads", threads,
+                        "--out", tmp_path / "o"])
+            assert code == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "replicate 2, approach regress_on_indicator" in errors[0]
+
+    @pytest.mark.parametrize("sizes, seed, rows", [
+        ({"n_train": 3, "n_test": 4}, 0, "training"),
+        ({"n_train": 2, "n_test": 2}, 4, "test"),
+    ])
+    def test_sim1_unit_block_without_rows_names_the_cell(self, tmp_path, capsys,
+                                                         sizes, seed, rows):
+        # unit_block drops fully missing rows; with none left, no fit or
+        # score exists.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**sizes, "p": 2, "structures": ["unit_block"],
+                                      "rho_list": [0.0], "missing_rate": 0.9}))
+        code = run(["experiment", "--id", "sim1", "--reps", 1, "--seed", seed,
+                    "--config", config, "--out", tmp_path / "o"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert (f"study 1 at n_train={sizes['n_train']}, rho=0.0, structure "
+                f"unit_block, test rows ") in err
+        assert f"replicate 0: every {rows} row is fully missing" in err
         assert "too small" in err
         assert not (tmp_path / "o").exists()
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from misslab.impute import (
     CollinearityError,
     ImputationConfig,
+    NonFiniteDrawError,
     UnimputableColumnError,
     _draw,
     _pmm_donors,
@@ -688,6 +689,7 @@ class TestEngine:
             fcs_impute(masked(values, bits), ImputationConfig(
                 m=3, maxit=2, method=method, ridge=0.0, seed=1))
         assert info.value.columns == (1,)
+        assert str(info.value).startswith("design is singular for column 'X2' at sweep 1;")
 
     @staticmethod
     def overflowing_case():
@@ -702,7 +704,7 @@ class TestEngine:
     @pytest.mark.parametrize("method", ["norm", "pmm"])
     def test_non_finite_draw_names_column_sweep_and_chain(self, method):
         values, bits = self.overflowing_case()
-        with pytest.raises(FloatingPointError,
+        with pytest.raises(NonFiniteDrawError,
                            match="column 'X2' at sweep 1 in chain 0"):
             fcs_impute(masked(values, bits), ImputationConfig(
                 m=3, maxit=2, method=method, seed=2))
@@ -714,12 +716,12 @@ class TestEngine:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for method in ("norm", "pmm"):
-                with pytest.raises(FloatingPointError):
+                with pytest.raises(NonFiniteDrawError):
                     fcs_impute(masked(values, bits), ImputationConfig(
                         m=3, maxit=2, method=method, seed=2))
-            with pytest.raises(FloatingPointError):
+            with pytest.raises(NonFiniteDrawError):
                 fit_norm_draw(y_obs, x_obs, x_mis, rng=np.random.default_rng(2))
-            with pytest.raises(FloatingPointError):
+            with pytest.raises(NonFiniteDrawError):
                 fit_pmm_draw(y_obs, x_obs, x_mis, rng=np.random.default_rng(2))
         assert [str(w.message) for w in caught
                 if issubclass(w.category, RuntimeWarning)] == []
@@ -747,7 +749,7 @@ class TestEngine:
             return chain
 
         monkeypatch.setattr(np.random, "default_rng", default_rng)
-        with pytest.raises(FloatingPointError, match=expected):
+        with pytest.raises(NonFiniteDrawError, match=expected):
             fcs_impute(d, ImputationConfig(m=3, maxit=3, method="norm", seed=3))
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 

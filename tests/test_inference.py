@@ -12,6 +12,7 @@ from misslab.inference import (
     pool,
     predict_mse,
     replicate_metrics,
+    t_upper_tail,
 )
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
@@ -102,6 +103,14 @@ class TestPool:
         assert _t_quantile(2.0, p) == pytest.approx((p - q) / math.sqrt(2.0 * p * q),
                                                     rel=1e-14, abs=0)
         assert _t_quantile(math.inf, p) == NormalDist().inv_cdf(p)
+
+    def test_nan_degrees_of_freedom_give_nan(self):
+        # The continued fraction never meets its stopping rule on NaN, so
+        # without a check it runs to its iteration cap.
+        assert math.isnan(_t_quantile(math.nan, 0.975))
+        assert math.isnan(t_upper_tail(1.0, math.nan))
+        assert math.isnan(t_upper_tail(math.nan, 3.0))
+        assert math.isnan(pool([math.nan, 1.0], [1.0, 1.0]).ci_low)
 
     def test_interval_widens_with_between_variance(self):
         tight = pool([1.0, 1.01, 0.99], [0.1] * 3)

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,24 @@ class TestSimulateMask:
         x = np.array([[np.inf, 0.0]])
         with pytest.raises(EvaluationError, match="non-finite"):
             simulate_mask(spec, x, seed=0)
+
+    def test_overflowing_predictor_raises_without_numpy_warnings(self):
+        # 2 * 1e308 overflows and 0 * inf is invalid: the error is all that
+        # is reported.
+        spec = MechanismSpec(
+            rules=(
+                MechanismRule(0, (TableClause.bernoulli(0.0),)),
+                MechanismRule(1, (LogisticClause(0.0, ((data_col(0), 2.0),
+                                                       (data_col(1), 0.0))),)),
+            )
+        )
+        x = np.array([[1.0, 0.0], [1e308, np.inf]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(EvaluationError,
+                               match="non-finite linear predictor in rule for column 1"):
+                simulate_mask(spec, x, seed=0)
+        assert [str(w.message) for w in caught] == []
 
     def test_strong_rules_idempotent_on_final_mask(self):
         from misslab.builtins import builtin_structures
