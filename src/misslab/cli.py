@@ -245,25 +245,26 @@ def _cmd_experiment(args) -> int:
         overrides = parse_json(cfg_path.read_bytes(), "--config")
         if not isinstance(overrides, dict):
             raise ValueError("--config: top level must be an object")
-    seed = _require_seed(args)
-    overrides["experiment"] = args.id
-    overrides["seed"] = seed
-    overrides["out_dir"] = args.out
-    if args.reps is not None:
-        overrides["reps"] = args.reps
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    run_experiment(config_from_mapping(overrides))
+    run_experiment(config_from_mapping(
+        overrides, experiment=args.id, seed=_require_seed(args), out_dir=args.out,
+        n_replicates=args.reps, threads=args.threads,
+    ))
     return EXIT_OK
 
 
-def config_from_mapping(values: dict) -> ExperimentConfig:
-    """Build an :class:`ExperimentConfig` from loosely typed key/values."""
+def config_from_mapping(values: dict, **flags) -> ExperimentConfig:
+    """Build an :class:`ExperimentConfig` from loosely typed key/values, in
+    which ``reps`` is an alias of ``n_replicates``; the ``flags`` that are
+    not None win over them."""
     from .experiments import ExperimentConfig
 
     values = dict(values)
     if "reps" in values:
+        if "n_replicates" in values:
+            raise ValueError("--config: 'reps' and 'n_replicates' both set the "
+                             "replicate count; give one")
         values["n_replicates"] = values.pop("reps")
+    values.update((k, v) for k, v in flags.items() if v is not None)
     known = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(values) - known
     if unknown:

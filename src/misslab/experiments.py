@@ -12,6 +12,14 @@
   standard chained-equations route biased, while a single-pass regression
   on the first column's fully observed *indicator* recovers the mean.
 
+Each study is declared once, as an entry of ``_STUDIES``: the config fields
+it reads (in manifest order), its grid key columns, its result and summary
+value columns, its replicate and summary functions, its manifest notes and,
+for the inference studies, the spec and taxonomy label checked at each
+``q``. One function runs every study: validate the fields it reads, check the
+labels, map the replicates, sort the rows by key, summarise each grid point
+and write the manifest.
+
 Every output value is a pure function of (config, seed): replicate seeds
 derive from labelled seed sequences, replicates may run in parallel, and
 rows are emitted in a deterministic order.
@@ -20,7 +28,10 @@ rows are emitted in a deterministic order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import product
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -41,8 +52,6 @@ from .mechanisms import (
 from .tabular import DataMatrix, MissMask, default_names, format_cell, write_table
 
 EXPERIMENT_IDS = ("sim1", "sim2", "sim3")
-
-_SIM_TAG = {"sim1": 1, "sim2": 2, "sim3": 3}
 
 SIM2_TRUE_SLOPE = 2.0
 SIM3_TRUE_MEAN = 1.0
@@ -93,33 +102,32 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"choose one of {', '.join(EXPERIMENT_IDS)}"
             )
+        # Only the fields this study reads are checked, ahead of any replicate.
+        read = _STUDIES[self.experiment].fields
         for name in ("n_replicates", "threads", "m", "n_train", "n_test", "n"):
-            if getattr(self, name) < 1:
+            if name in read and getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.p < 2:
+        if "p" in read and self.p < 2:
             raise ValueError("p must be >= 2")
         if self.experiment in ("sim2", "sim3") and self.m < 2:
             raise ValueError(
                 f"m must be >= 2 for {self.experiment}: pooling needs at least "
                 "two imputations"
             )
-        for rho in self.rho_list:
+        for rho in (self.rho_list if "rho_list" in read else ()):
             if not (-1.0 / (self.p - 1) < rho < 1.0):
                 raise ValueError(
                     f"rho={rho} outside (-1/(p-1), 1); covariance not positive "
                     "definite"
                 )
-        for name in self.structures:
+        for name in (self.structures if "structures" in read else ()):
             if name not in BUILTIN_NAMES:
                 raise ValueError(f"unknown structure {name!r}")
-        if self.q_grid is not None:
-            for q in self.q_grid:
-                if not (0.0 <= q <= 1.0):
-                    raise ValueError(f"q={q} outside [0, 1]")
-        # Checks of the fields this study reads, ahead of any replicate.
-        read = _MANIFEST_FIELDS[self.experiment]
+        for q in (self.effective_q_grid() if "q_grid" in read else ()):
+            if not (0.0 <= q <= 1.0):
+                raise ValueError(f"q={q} outside [0, 1]")
         for name in ("rho_list", "structures", "q_grid", "maxit_list"):
             values = getattr(self, name)
             if name not in read or values is None:
@@ -135,13 +143,12 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a positive integer")
         if "maxit_list" in read and min(self.maxit_list) < 1:
             raise ValueError("maxit_list entries must be positive integers")
-        if "missing_rate" in read:
-            for name in self.structures:
-                try:
-                    builtin_structures(name, self.p, self.missing_rate)
-                except SpecificationError as exc:
-                    raise ValueError(f"missing_rate={self.missing_rate} for "
-                                     f"structure {name}: {exc}") from None
+        for name in (self.structures if "missing_rate" in read else ()):
+            try:
+                builtin_structures(name, self.p, self.missing_rate)
+            except SpecificationError as exc:
+                raise ValueError(f"missing_rate={self.missing_rate} for "
+                                 f"structure {name}: {exc}") from None
 
     def effective_q_grid(self) -> tuple[float, ...]:
         if self.q_grid is not None:
@@ -151,28 +158,16 @@ class ExperimentConfig:
         return (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-# The config fields each study reads, in manifest order.
-_COMMON_FIELDS = ("n_replicates", "seed", "threads", "m")
-_MANIFEST_FIELDS = {
-    "sim1": _COMMON_FIELDS + ("n_train", "n_test", "p", "rho_list", "structures",
-                              "maxit", "donors", "missing_rate"),
-    "sim2": _COMMON_FIELDS + ("n", "q_grid", "maxit_list"),
-    "sim3": _COMMON_FIELDS + ("n", "q_grid", "sim3_maxit"),
-}
-
-
 @dataclass
 class ExperimentOutput:
     results: list[dict]
     summary: list[dict]
     manifest: str
-    result_columns: tuple[str, ...]
-    summary_columns: tuple[str, ...]
 
 
 def _seed_seq(cfg: ExperimentConfig, *path: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(
-        [cfg.seed, _SIM_TAG[cfg.experiment], *[int(v) for v in path]]
+        [cfg.seed, EXPERIMENT_IDS.index(cfg.experiment) + 1, *[int(v) for v in path]]
     )
 
 
@@ -186,8 +181,8 @@ def _study_cell(cell: str, fn, *args):
     """``fn(*args)`` for one study cell. The studies draw data that their
     models can use at any large enough size, so a ``ValueError`` here (a
     column never observed, a singular design such as an indicator constant
-    where its target is observed, or no rows left to fit or score) is a
-    problem of the configured size: it is raised again naming the cell."""
+    where its target is observed, or fewer rows than coefficients to fit) is
+    a problem of the configured size: it is raised again naming the cell."""
     try:
         return fn(*args)
     except ValueError as exc:
@@ -263,76 +258,27 @@ def _sim1_replicate(cfg: ExperimentConfig, rep: int) -> list[dict]:
         x = rng.standard_normal((n, cfg.p)) @ chol.T
         y = x.sum(axis=1) + 2.0 * rng.standard_normal(n)
         for s_idx, name in enumerate(cfg.structures):
-            mask = simulate_mask(
-                specs[name], x, _seed_seq(cfg, rho_idx, rep, 1, s_idx)
-            )
-            for t_idx, test_missing in enumerate((False, True)):
-                setting = "missing" if test_missing else "complete"
+            mask = simulate_mask(specs[name], x, _seed_seq(cfg, rho_idx, rep, 1, s_idx))
+            for t_idx, setting in enumerate(("complete", "missing")):
                 mse = _study_cell(
                     f"study 1 at n_train={cfg.n_train}, rho={rho}, structure "
                     f"{name}, test rows {setting}, replicate {rep}",
-                    _sim1_cell,
-                    x,
-                    y,
-                    mask.bits,
-                    name,
-                    test_missing,
-                    cfg,
+                    _sim1_cell, x, y, mask.bits, name, setting == "missing", cfg,
                     _seed_seq(cfg, rho_idx, rep, 2, s_idx, t_idx),
                 )
-                rows.append(
-                    {
-                        "rho": rho,
-                        "structure": name,
-                        "test_missingness": setting,
-                        "replicate": rep,
-                        "mse": mse,
-                    }
-                )
+                rows.append({"rho": rho, "structure": name, "test_missingness": setting,
+                             "replicate": rep, "mse": mse})
     return rows
 
 
-def run_sim1(cfg: ExperimentConfig) -> ExperimentOutput:
-    """Prediction study: MSE per (rho, structure, test setting, replicate)."""
-    cfg = replace(cfg, experiment="sim1")
-    cfg.validate()
-    rows = _map_replicates(_sim1_replicate, cfg)
-    rows.sort(
-        key=lambda r: (r["rho"], r["structure"], r["test_missingness"], r["replicate"])
-    )
-    summary: list[dict] = []
-    for rho in cfg.rho_list:
-        for name in cfg.structures:
-            for setting in ("complete", "missing"):
-                sel = [
-                    r["mse"]
-                    for r in rows
-                    if r["rho"] == rho
-                    and r["structure"] == name
-                    and r["test_missingness"] == setting
-                ]
-                summary.append(
-                    {
-                        "rho": rho,
-                        "structure": name,
-                        "test_missingness": setting,
-                        "median_mse": float(np.median(sel)),
-                        "mean_mse": float(np.mean(sel)),
-                        "n_rep": len(sel),
-                    }
-                )
-    manifest = _manifest(cfg, notes=())
-    return ExperimentOutput(
-        rows,
-        summary,
-        manifest,
-        ("rho", "structure", "test_missingness", "replicate", "mse"),
-        ("rho", "structure", "test_missingness", "median_mse", "mean_mse", "n_rep"),
-    )
+def _mse_stats(group: list[dict]) -> dict:
+    mse = [r["mse"] for r in group]
+    return {"median_mse": float(np.median(mse)), "mean_mse": float(np.mean(mse)),
+            "n_rep": len(mse)}
 
 
 # ---------------------------------------------------------------------------
-# Study 2: slope bias/coverage under at-random indicator structure
+# Studies 2 and 3: bias and coverage of a pooled estimate
 # ---------------------------------------------------------------------------
 
 
@@ -344,198 +290,171 @@ def _check_label(spec: MechanismSpec, expected, context: str) -> None:
         )
 
 
+def _pooled_cell(cell: str, dm: DataMatrix, cfg: ExperimentConfig, maxit: int,
+                 seed: np.random.SeedSequence, estimand) -> dict:
+    """One inference cell: norm-impute ``dm``, take ``estimand(completed)``,
+    an (estimate, variance) pair, on each completed copy and pool them."""
+    impcfg = ImputationConfig(m=cfg.m, maxit=maxit, method="norm", seed=seed)
+    pe = _study_cell(
+        cell, lambda: pool(*zip(*map(estimand, fcs_impute(dm, impcfg).completed)))
+    )
+    return {"estimate": pe.estimate, "ci_low": pe.ci_low, "ci_high": pe.ci_high}
+
+
+def _sim2_slope(completed: np.ndarray) -> tuple[float, float]:
+    fit = ols_fit(completed[:, 2], _with_intercept(completed[:, :2]))
+    return float(fit.coef[2]), float(fit.cov[2, 2])
+
+
 def _sim2_replicate(cfg: ExperimentConfig, rep: int) -> list[dict]:
     rows: list[dict] = []
-    q_grid = cfg.effective_q_grid()
-    for q_idx, q in enumerate(q_grid):
-        spec = sim2_spec(q)
+    n = cfg.n
+    for q_idx, q in enumerate(cfg.effective_q_grid()):
         rng = np.random.default_rng(_seed_seq(cfg, q_idx, rep, 0))
-        n = cfg.n
         x1 = rng.standard_normal(n)
         x2 = 2.0 * x1 + rng.standard_normal(n)
         x3 = 1.0 + x1 + 2.0 * x2 + rng.standard_normal(n)
         x = np.column_stack([x1, x2, x3])
-        mask = simulate_mask(spec, x, _seed_seq(cfg, q_idx, rep, 1))
+        mask = simulate_mask(sim2_spec(q), x, _seed_seq(cfg, q_idx, rep, 1))
         dm = DataMatrix(x.copy(), mask, ("X1", "X2", "X3"))
         for m_idx, maxit in enumerate(cfg.maxit_list):
-            result = _study_cell(
-                f"study 2 at n={n}, q={q}, replicate {rep}, maxit {maxit}",
-                fcs_impute,
-                dm,
-                ImputationConfig(
-                    m=cfg.m,
-                    maxit=maxit,
-                    method="norm",
-                    seed=_seed_seq(cfg, q_idx, rep, 2, m_idx),
-                ),
+            pooled = _pooled_cell(
+                f"study 2 at n={n}, q={q}, replicate {rep}, maxit {maxit}", dm, cfg,
+                maxit, _seed_seq(cfg, q_idx, rep, 2, m_idx), _sim2_slope,
             )
-            estimates, variances = [], []
-            for completed in result.completed:
-                fit = ols_fit(
-                    completed[:, 2], _with_intercept(completed[:, :2])
-                )
-                estimates.append(float(fit.coef[2]))
-                variances.append(float(fit.cov[2, 2]))
-            pe = pool(estimates, variances)
-            rows.append(
-                {
-                    "q": q,
-                    "maxit": maxit,
-                    "replicate": rep,
-                    "estimate": pe.estimate,
-                    "ci_low": pe.ci_low,
-                    "ci_high": pe.ci_high,
-                }
-            )
+            rows.append({"q": q, "maxit": maxit, "replicate": rep, **pooled})
     return rows
 
 
-def run_sim2(cfg: ExperimentConfig) -> ExperimentOutput:
-    """At-random structure study: slope estimates per (q, maxit, replicate)."""
-    cfg = replace(cfg, experiment="sim2")
-    cfg.validate()
-    for q in cfg.effective_q_grid():
-        _check_label(sim2_spec(q), sim2_label(q), f"study 2 at q={q}")
-    rows = _map_replicates(_sim2_replicate, cfg)
-    rows.sort(key=lambda r: (r["q"], r["maxit"], r["replicate"]))
-    summary = _bias_coverage_summary(rows, keys=("q", "maxit"), truth=SIM2_TRUE_SLOPE)
-    manifest = _manifest(cfg, notes=(f"analysis slope truth = {SIM2_TRUE_SLOPE}",))
-    return ExperimentOutput(
-        rows,
-        summary,
-        manifest,
-        ("q", "maxit", "replicate", "estimate", "ci_low", "ci_high"),
-        ("q", "maxit", "bias", "coverage", "mse", "n_rep"),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Study 3: exploiting indicator structure under a latent driver
-# ---------------------------------------------------------------------------
+def _sim3_mean(completed: np.ndarray) -> tuple[float, float]:
+    col = completed[:, 1]
+    return float(col.mean()), float(col.var(ddof=1) / len(col))
 
 
 def _sim3_replicate(cfg: ExperimentConfig, rep: int) -> list[dict]:
     rows: list[dict] = []
     n = cfg.n
     for q_idx, q in enumerate(cfg.effective_q_grid()):
-        spec = sim3_spec(q)
         rng = np.random.default_rng(_seed_seq(cfg, q_idx, rep, 0))
         z = rng.standard_normal(n)
         x1 = 2.0 * z + rng.standard_normal(n)
         x2 = 1.0 + z + 2.0 * x1 + rng.standard_normal(n)
         full = np.column_stack([z, x1, x2])
-        mask = simulate_mask(spec, full, _seed_seq(cfg, q_idx, rep, 1))
+        mask = simulate_mask(sim3_spec(q), full, _seed_seq(cfg, q_idx, rep, 1))
         # The analyst never sees the latent column.
-        analyst_bits = mask.bits[:, 1:]
-        analyst = DataMatrix(
-            full[:, 1:].copy(), MissMask(analyst_bits), ("X1", "X2")
-        )
+        analyst = DataMatrix(full[:, 1:].copy(), MissMask(mask.bits[:, 1:]), ("X1", "X2"))
         sign = pairwise_dependence(analyst.missing).pair(0, 1).sign
-
-        for approach, dm, maxit in (
+        # The indicator route regresses X2 on the fully observed M1 in one pass.
+        indicator = DataMatrix(
+            np.column_stack([mask.bits[:, 1].astype(float), full[:, 2]]),
+            MissMask(np.column_stack([np.zeros(n, dtype=np.uint8), mask.bits[:, 2]])),
+            ("M1", "X2"),
+        )
+        for a_idx, (approach, dm, maxit) in enumerate((
             ("fcs_on_values", analyst, cfg.sim3_maxit),
-            (
-                "regress_on_indicator",
-                DataMatrix(
-                    np.column_stack(
-                        [mask.bits[:, 1].astype(float), full[:, 2]]
-                    ),
-                    MissMask(
-                        np.column_stack(
-                            [np.zeros(n, dtype=np.uint8), mask.bits[:, 2]]
-                        )
-                    ),
-                    ("M1", "X2"),
-                ),
-                1,
-            ),
-        ):
-            result = _study_cell(
-                f"study 3 at n={n}, q={q}, replicate {rep}, approach {approach}",
-                fcs_impute,
-                dm,
-                ImputationConfig(
-                    m=cfg.m,
-                    maxit=maxit,
-                    method="norm",
-                    seed=_seed_seq(
-                        cfg, q_idx, rep, 2, 0 if approach == "fcs_on_values" else 1
-                    ),
-                ),
+            ("regress_on_indicator", indicator, 1),
+        )):
+            pooled = _pooled_cell(
+                f"study 3 at n={n}, q={q}, replicate {rep}, approach {approach}", dm,
+                cfg, maxit, _seed_seq(cfg, q_idx, rep, 2, a_idx), _sim3_mean,
             )
-            estimates, variances = [], []
-            for completed in result.completed:
-                col = completed[:, 1]
-                estimates.append(float(col.mean()))
-                variances.append(float(col.var(ddof=1) / n))
-            pe = pool(estimates, variances)
-            rows.append(
-                {
-                    "q": q,
-                    "approach": approach,
-                    "replicate": rep,
-                    "estimate": pe.estimate,
-                    "ci_low": pe.ci_low,
-                    "ci_high": pe.ci_high,
-                    "m1_m2_sign": sign,
-                }
-            )
+            rows.append({"q": q, "approach": approach, "replicate": rep, **pooled,
+                         "m1_m2_sign": sign})
     return rows
+
+
+def _bias_coverage(group: list[dict], truth: float) -> dict:
+    rec = replicate_metrics(
+        *([r[c] for r in group] for c in ("estimate", "ci_low", "ci_high")), truth
+    )
+    return {"bias": rec.bias, "coverage": rec.coverage, "mse": rec.mse,
+            "n_rep": rec.n_replicates}
+
+
+def _sim3_stats(group: list[dict]) -> dict:
+    values, counts = np.unique([r["m1_m2_sign"] for r in group], return_counts=True)
+    return {**_bias_coverage(group, SIM3_TRUE_MEAN),
+            "modal_sign": str(values[counts.argmax()])}
+
+
+# ---------------------------------------------------------------------------
+# The study table and the one runner
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Study:
+    fields: tuple[str, ...]  # config fields read, in manifest order
+    keys: tuple[str, ...]  # grid columns; results sort by these, then replicate
+    values: tuple[str, ...]  # result columns after the replicate
+    stats: tuple[str, ...]  # summary columns after the keys
+    replicate: Callable[[ExperimentConfig, int], list[dict]]
+    summarise: Callable[[list[dict]], dict]  # one grid point's rows -> stats
+    notes: tuple[str, ...] = ()
+    labels: tuple[Callable, Callable] | None = None  # (spec, label) checked per q
+    # Summary row order, from the config; by default the sorted keys.
+    order: Callable[[ExperimentConfig], Iterable[tuple]] | None = None
+
+
+_COMMON_FIELDS = ("n_replicates", "seed", "threads", "m")
+_POOLED = ("estimate", "ci_low", "ci_high")
+_BIAS_COVERAGE = ("bias", "coverage", "mse", "n_rep")
+_STUDIES = {
+    "sim1": _Study(
+        _COMMON_FIELDS + ("n_train", "n_test", "p", "rho_list", "structures",
+                          "maxit", "donors", "missing_rate"),
+        ("rho", "structure", "test_missingness"), ("mse",),
+        ("median_mse", "mean_mse", "n_rep"), _sim1_replicate, _mse_stats,
+        order=lambda cfg: product(cfg.rho_list, cfg.structures, ("complete", "missing")),
+    ),
+    "sim2": _Study(
+        _COMMON_FIELDS + ("n", "q_grid", "maxit_list"), ("q", "maxit"), _POOLED,
+        _BIAS_COVERAGE, _sim2_replicate, partial(_bias_coverage, truth=SIM2_TRUE_SLOPE),
+        notes=(f"analysis slope truth = {SIM2_TRUE_SLOPE}",),
+        labels=(sim2_spec, sim2_label),
+    ),
+    "sim3": _Study(
+        _COMMON_FIELDS + ("n", "q_grid", "sim3_maxit"), ("q", "approach"),
+        _POOLED + ("m1_m2_sign",), _BIAS_COVERAGE + ("modal_sign",), _sim3_replicate,
+        _sim3_stats, notes=(SIM3_TRUTH_NOTE,), labels=(sim3_spec, sim3_label),
+    ),
+}
+
+
+def _run(cfg: ExperimentConfig, experiment: str) -> ExperimentOutput:
+    cfg = replace(cfg, experiment=experiment)
+    cfg.validate()
+    study = _STUDIES[experiment]
+    if study.labels is not None:
+        spec, label = study.labels
+        for q in cfg.effective_q_grid():
+            _check_label(spec(q), label(q),
+                         f"study {EXPERIMENT_IDS.index(experiment) + 1} at q={q}")
+    rows = _map_replicates(study.replicate, cfg)
+    rows.sort(key=lambda r: (*(r[k] for k in study.keys), r["replicate"]))
+    groups: dict[tuple, list[dict]] = {}
+    for r in rows:
+        groups.setdefault(tuple(r[k] for k in study.keys), []).append(r)
+    summary = [
+        {**dict(zip(study.keys, key)), **study.summarise(groups[key])}
+        for key in (study.order(cfg) if study.order else groups)
+    ]
+    return ExperimentOutput(rows, summary, _manifest(cfg))
+
+
+def run_sim1(cfg: ExperimentConfig) -> ExperimentOutput:
+    """Prediction study: MSE per (rho, structure, test setting, replicate)."""
+    return _run(cfg, "sim1")
+
+
+def run_sim2(cfg: ExperimentConfig) -> ExperimentOutput:
+    """At-random structure study: slope estimates per (q, maxit, replicate)."""
+    return _run(cfg, "sim2")
 
 
 def run_sim3(cfg: ExperimentConfig) -> ExperimentOutput:
     """Not-at-random structure study: mean estimates per (q, approach)."""
-    cfg = replace(cfg, experiment="sim3")
-    cfg.validate()
-    for q in cfg.effective_q_grid():
-        _check_label(sim3_spec(q), sim3_label(q), f"study 3 at q={q}")
-    rows = _map_replicates(_sim3_replicate, cfg)
-    rows.sort(key=lambda r: (r["q"], r["approach"], r["replicate"]))
-    summary = _bias_coverage_summary(rows, keys=("q", "approach"), truth=SIM3_TRUE_MEAN)
-    for entry in summary:
-        signs = [
-            r["m1_m2_sign"]
-            for r in rows
-            if all(r[k] == entry[k] for k in ("q", "approach"))
-        ]
-        values, counts = np.unique(signs, return_counts=True)
-        entry["modal_sign"] = str(values[counts.argmax()])
-    manifest = _manifest(cfg, notes=(SIM3_TRUTH_NOTE,))
-    return ExperimentOutput(
-        rows,
-        summary,
-        manifest,
-        ("q", "approach", "replicate", "estimate", "ci_low", "ci_high",
-         "m1_m2_sign"),
-        ("q", "approach", "bias", "coverage", "mse", "n_rep", "modal_sign"),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Shared machinery
-# ---------------------------------------------------------------------------
-
-
-def _bias_coverage_summary(rows, keys, truth) -> list[dict]:
-    combos: dict[tuple, list[dict]] = {}
-    for r in rows:
-        combos.setdefault(tuple(r[k] for k in keys), []).append(r)
-    out = []
-    for combo, group in sorted(combos.items()):
-        rec = replicate_metrics(
-            *([g[c] for g in group] for c in ("estimate", "ci_low", "ci_high")), truth
-        )
-        entry = dict(zip(keys, combo))
-        entry.update(
-            {
-                "bias": rec.bias,
-                "coverage": rec.coverage,
-                "mse": rec.mse,
-                "n_rep": rec.n_replicates,
-            }
-        )
-        out.append(entry)
-    return out
+    return _run(cfg, "sim3")
 
 
 def _map_replicates(fn, cfg: ExperimentConfig) -> list[dict]:
@@ -551,20 +470,22 @@ def _map_replicates(fn, cfg: ExperimentConfig) -> list[dict]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
-    runner = {"sim1": run_sim1, "sim2": run_sim2, "sim3": run_sim3}[cfg.experiment]
-    output = runner(cfg)
+    # Looked up by module global at call time, so that a wrapper installed
+    # over run_simN (as the benchmark's tracer does) is what runs.
+    output = globals()[f"run_{cfg.experiment}"](cfg)
     if cfg.out_dir is not None:
         write_outputs(cfg, output)
     return output
 
 
 def write_outputs(cfg: ExperimentConfig, output: ExperimentOutput) -> list[Path]:
+    study = _STUDIES[cfg.experiment]
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    tables = [("results", output.result_columns, output.results)]
+    tables = [("results", (*study.keys, "replicate", *study.values), output.results)]
     if output.summary:
-        tables.append(("summary", output.summary_columns, output.summary))
+        tables.append(("summary", study.keys + study.stats, output.summary))
     for kind, columns, rows in tables:
         path = out_dir / f"{cfg.experiment}_{kind}.csv"
         write_table(path, columns, ([r[c] for c in columns] for r in rows))
@@ -575,18 +496,19 @@ def write_outputs(cfg: ExperimentConfig, output: ExperimentOutput) -> list[Path]
     return paths
 
 
-def _manifest(cfg: ExperimentConfig, notes: tuple[str, ...]) -> str:
+def _manifest(cfg: ExperimentConfig) -> str:
+    study = _STUDIES[cfg.experiment]
     lines = [
         f"experiment: {cfg.experiment}",
         f"code_version: misslab {__version__}",
         "config:",
     ]
-    for name in _MANIFEST_FIELDS[cfg.experiment]:
+    for name in study.fields:
         value = cfg.effective_q_grid() if name == "q_grid" else getattr(cfg, name)
         if isinstance(value, tuple):
             value = ", ".join(format_cell(v) for v in value)
         lines.append(f"  {name}: {format_cell(value)}")
-    if notes:
+    if study.notes:
         lines.append("notes:")
-        lines.extend(f"  - {note}" for note in notes)
+        lines.extend(f"  - {note}" for note in study.notes)
     return "\n".join(lines) + "\n"

@@ -276,10 +276,13 @@ class OlsFit:
 
 def ols_fit(y: np.ndarray, design: np.ndarray) -> OlsFit:
     """Ordinary least squares of ``y`` on ``design`` (intercept included
-    by the caller)."""
+    by the caller). Fewer rows than coefficients raise ``ValueError``: the
+    fit would not be determined by the data."""
     y = np.asarray(y, dtype=float)
     design = np.asarray(design, dtype=float)
     n, k = design.shape
+    if n < k:
+        raise ValueError(f"fewer rows ({n}) than coefficients ({k}) to fit")
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     dof = max(n - k, 1)

@@ -487,7 +487,8 @@ class TestExperimentVerb:
 
     @pytest.mark.parametrize("sizes, seed, rows", [
         ({"n_train": 3, "n_test": 4}, 0, "training"),
-        ({"n_train": 2, "n_test": 2}, 4, "test"),
+        # Enough training rows survive to fit three coefficients.
+        ({"n_train": 20, "n_test": 1}, 4, "test"),
     ])
     def test_sim1_unit_block_without_rows_names_the_cell(self, tmp_path, capsys,
                                                          sizes, seed, rows):
@@ -507,15 +508,18 @@ class TestExperimentVerb:
         assert not (tmp_path / "o").exists()
 
     def test_sim1_sample_too_small_names_the_cell(self, tmp_path, capsys):
-        # Five training rows leave X9 unobserved among them under mcar_u_2.
+        # Five training rows leave X10 unobserved among them under mcar_u_2.
+        # (With every structure, an earlier cell stops first: five rows are
+        # too few for the analysis model's eleven coefficients.)
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"n_train": 5, "n_test": 20}))
+        config.write_text(json.dumps({"n_train": 5, "n_test": 20,
+                                      "structures": ["mcar_u_2"]}))
         code = run(["experiment", "--id", "sim1", "--reps", 2, "--seed", 1,
                     "--config", config, "--out", tmp_path / "o"])
         err = capsys.readouterr().err
         assert code == 1, err
         assert ("study 1 at n_train=5, rho=0.0, structure mcar_u_2, test rows "
-                "complete, replicate 0: column 'X9' (index 8) has no observed "
+                "complete, replicate 0: column 'X10' (index 9) has no observed "
                 "values among fitting rows") in err
         assert "too small" in err
         assert not (tmp_path / "o").exists()
@@ -545,6 +549,29 @@ class TestExperimentVerb:
                     "--config", config, "--out", tmp_path / "o"]) == 0
         manifest = (tmp_path / "o" / "manifest.txt").read_text()
         assert "n_replicates: 1" in manifest
+
+    def test_reps_flag_overrides_n_replicates(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"n_replicates": 3, "n": 200, "m": 2, "q_grid": [0.0], "maxit_list": [1]}
+        ))
+        assert run(["experiment", "--id", "sim2", "--reps", 1, "--seed", 2,
+                    "--config", config, "--out", tmp_path / "o"]) == 0
+        manifest = (tmp_path / "o" / "manifest.txt").read_text()
+        assert "n_replicates: 1" in manifest
+
+    @pytest.mark.parametrize("reps_flag", [[], ["--reps", 1]])
+    def test_config_setting_both_replicate_keys_exits_one(self, tmp_path, capsys,
+                                                          reps_flag):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"reps": 2, "n_replicates": 3}))
+        code = run(["experiment", "--id", "sim2", *reps_flag, "--seed", 1,
+                    "--config", config, "--out", tmp_path / "o"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "misslab: --config: 'reps' and 'n_replicates' both set the replicate "
+            "count; give one\n")
+        assert not (tmp_path / "o").exists()
 
     def test_deeply_nested_config_exits_one(self, tmp_path, capsys):
         config = tmp_path / "deep.json"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from dataclasses import fields, replace
@@ -45,10 +46,16 @@ class TestConfigValidation:
             ExperimentConfig(experiment, m=1).validate()
         ExperimentConfig(experiment, m=2).validate()
 
-    @pytest.mark.parametrize("experiment", ["sim2", "sim3"])
+    @pytest.mark.parametrize("experiment", ["sim2", "sim3", "sim1"])
     def test_fields_a_study_does_not_read_are_not_checked(self, experiment):
-        ExperimentConfig(experiment, structures=(), rho_list=(), maxit=0,
-                         missing_rate=2.0).validate()
+        if experiment == "sim1":
+            unread = [dict(n=0), dict(q_grid=(1.5,)), dict(maxit_list=(0,), sim3_maxit=0)]
+        else:
+            unread = [dict(structures=(), rho_list=(), maxit=0, missing_rate=2.0),
+                      dict(p=1), dict(rho_list=(5.0,)), dict(structures=("nope",)),
+                      dict(n_train=0), dict(n_test=0)]
+        for values in unread:
+            ExperimentConfig(experiment, **values).validate()
 
     def test_sim1_accepts_one_imputation(self):
         ExperimentConfig("sim1", m=1).validate()
@@ -163,6 +170,19 @@ class TestSim1Harness:
         for r in out.results:
             assert r["mse"] < 12.0  # deletion, no imputation noise
 
+    def test_fit_on_fewer_rows_than_coefficients_names_the_cell(self):
+        # unit_block leaves one training row here, too few for p + 1 = 4
+        # coefficients.
+        cfg = ExperimentConfig(
+            "sim1", n_replicates=1, seed=0, n_train=4, n_test=4, p=3,
+            structures=("unit_block",), rho_list=(0.0,), missing_rate=0.6,
+        )
+        with pytest.raises(ValueError, match=re.escape(
+                "study 1 at n_train=4, rho=0.0, structure unit_block, test rows "
+                "complete, replicate 0: fewer rows (1) than coefficients (4) to fit; "
+                "the sample is too small for this model")):
+            run_sim1(cfg)
+
 
 class TestSim3Harness:
     def test_truth_note_recorded_in_manifest(self):
@@ -208,3 +228,38 @@ class TestManifest:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+
+# Tiny runs of each study whose output files are pinned by sha256: reordered
+# rho_list and structures, an unsorted q_grid and an unsorted maxit_list.
+_GOLDEN = {
+    "sim1": (
+        dict(n_train=30, n_test=20, p=3, m=2, maxit=1, donors=3, rho_list=(0.4, 0.0),
+             structures=("unit_block", "mcar_ws_seq", "complete", "mcar_u_2")),
+        ("fcafa7086809b0ce64356be84f7eb6231a4dd95c8dd90c4763e9558842834921",
+         "30c90a43104a4aea4f7d18f8f0faf37cf877bd3be4eead9d7bb72f6023937747",
+         "a5e0acb25609e3180c4576f666a8b0f5cf25ebe3192432eab2f1038c12a9f57c"),
+    ),
+    "sim2": (
+        dict(n=60, m=2, q_grid=(0.9, 0.2, 0.5), maxit_list=(4, 1)),
+        ("045216e8364e8b3c8312902803552a8140cbcdee2f0cda30e0071a982f4f4774",
+         "307fcdc67def0aa5f6402dfbf8f686833a178dc48e5d0a47decf15152501e455",
+         "566fc2a3367cfd9a9988fec16714098d7bf61ff6c82fe99fde4107be87ed27ef"),
+    ),
+    "sim3": (
+        dict(n=60, m=2, q_grid=(0.5, 0.0), sim3_maxit=2),
+        ("640f68be573ca585fda3705822558452bada00d909853aeecdb853141cbb8521",
+         "7a60633b412af71b3f68003f8ebf9f4e641ed544fabaf22e29f677d5b8ff74e7",
+         "5d6de784497c90c117408e4c4bdf7dadadf10063299111eb01bb7ad6269e6d96"),
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_GOLDEN))
+def test_study_outputs_match_golden_digests(tmp_path, experiment):
+    sizes, digests = _GOLDEN[experiment]
+    run_experiment(ExperimentConfig(experiment, n_replicates=3, seed=3,
+                                    out_dir=tmp_path, **sizes))
+    names = (f"{experiment}_results.csv", f"{experiment}_summary.csv", "manifest.txt")
+    assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                 for name in names) == digests

@@ -219,3 +219,10 @@ class TestOlsFit:
         fit = ols_fit(y, np.column_stack([np.ones(5000), x]))
         assert np.allclose(fit.coef, [1.0, 2.0, -1.0, 0.5], atol=0.02)
         assert fit.cov.shape == (4, 4)
+
+    def test_fewer_rows_than_coefficients_raise(self):
+        design = np.column_stack([np.ones(3), np.arange(12.0).reshape(3, 4)])
+        with pytest.raises(ValueError, match=r"^fewer rows \(3\) than coefficients \(5\)"):
+            ols_fit(np.zeros(3), design)
+        fit = ols_fit(np.arange(5.0), np.vstack([design, design[:2] + 1.0]))
+        assert fit.coef.shape == (5,)
