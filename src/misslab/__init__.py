@@ -38,7 +38,6 @@ from .builtins import BUILTIN_NAMES, builtin_structures
 from .graphs import export_dot
 from .analyzer import (
     DependenceReport,
-    mcar_structure_audit,
     pairwise_dependence,
     sequential_signature,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "builtin_structures",
     "export_dot",
     "DependenceReport",
-    "mcar_structure_audit",
     "pairwise_dependence",
     "sequential_signature",
     "ImputationConfig",

@@ -5,9 +5,8 @@ tables: chi-square with one degree of freedom, odds ratios, and an
 association sign at a significance threshold. Tables with empty cells get
 the add-0.5-everywhere correction and are flagged, so deterministic
 couplings surface as flagged degenerate odds ratios rather than misleading
-finite numbers. The audit additionally tests mask columns against observed
-data columns and renders an advisory verdict; with finite samples these are
-screening tools, not proofs.
+finite numbers. Single-column conditioning asks whether a third indicator
+explains a significant pair away. These are screening tools, not proofs.
 """
 
 from __future__ import annotations
@@ -18,13 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .inference import t_upper_tail
-from .tabular import DataMatrix, MissMask, joint_counts, monotone_rows
+from .tabular import MissMask, joint_counts, monotone_rows
 
 # P-values are computed here, not taken from SciPy, whose statistics modules
 # cost a process about 26 MB and a quarter of a second to import: the
-# chi-square(1) tail is erfc(sqrt(x / 2)), and the Welch test's Student t
-# tail is misslab.inference.t_upper_tail.
+# chi-square(1) tail is erfc(sqrt(x / 2)).
 
 ALPHA_DEFAULT = 0.01
 
@@ -32,10 +29,6 @@ SIGN_POSITIVE = "positive"
 SIGN_NEGATIVE = "negative"
 SIGN_NONE = "none"
 SIGN_UNDETERMINED = "undetermined"
-
-VERDICT_UNSTRUCTURED = "consistent-with-unstructured"
-VERDICT_STRUCTURED = "structured-indicators"
-VERDICT_DATA = "data-dependent"
 
 
 # Header of the report CSV: one column per PairStat field, in field order.
@@ -217,89 +210,6 @@ def sequential_signature(
     lagged = both[early, late] / np.maximum(miss[early], 1)
     lead = both[early, late] / np.maximum(miss[late], 1)
     return SequentialSignature(fraction, bool((lagged > lead).all()))
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    pairwise: DependenceReport
-    data_associations: tuple[tuple[int, int, float, float], ...]
-    verdict: str
-    evidence: tuple[str, ...]
-    alpha: float
-
-
-def mcar_structure_audit(x: DataMatrix, alpha: float = ALPHA_DEFAULT) -> AuditReport:
-    """Screen a masked data set for departures from unstructured MCAR.
-
-    Runs (a) all pairwise mask-column tests and (b) two-sample tests of each
-    observed data column split by each other column's indicator. Verdicts
-    use a Bonferroni threshold within each family (for the pairs, that of
-    ``DependenceReport.significant_pairs``) and are advisory:
-    ``data-dependent`` dominates ``structured-indicators`` dominates
-    ``consistent-with-unstructured``.
-    """
-    bits = x.missing.bits
-    n, p = bits.shape
-    report = pairwise_dependence(x.missing, alpha)
-
-    data_rows: list[tuple[int, int, float, float]] = []
-    for j in range(p):
-        col_rate = bits[:, j].mean()
-        if col_rate in (0.0, 1.0):
-            continue
-        for k in range(p):
-            if k == j:
-                continue
-            observed_k = bits[:, k] == 0
-            vals = x.values[observed_k, k]
-            groups = bits[observed_k, j]
-            g1 = vals[groups == 1]
-            g0 = vals[groups == 0]
-            if len(g1) < 2 or len(g0) < 2:
-                continue
-            stat, df = _welch(g1, g0)
-            if not math.isnan(stat):
-                data_rows.append((j, k, stat, 2.0 * t_upper_tail(abs(stat), df)))
-
-    evidence: list[str] = []
-    sig_pairs = report.significant_pairs()
-    data_thr = alpha / len(data_rows) if data_rows else alpha
-    sig_data = [row for row in data_rows if row[3] < data_thr]
-
-    for ps in sig_pairs:
-        evidence.append(
-            f"mask columns {ps.j + 1} and {ps.k + 1} associated "
-            f"(p={ps.p_value:.3g}, sign={ps.sign})"
-        )
-    for j, k, stat, pval in sig_data:
-        evidence.append(
-            f"indicator of column {j + 1} shifts observed values of column "
-            f"{k + 1} (t={stat:.2f}, p={pval:.3g})"
-        )
-
-    if sig_data:
-        verdict = VERDICT_DATA
-    elif sig_pairs:
-        verdict = VERDICT_STRUCTURED
-    else:
-        verdict = VERDICT_UNSTRUCTURED
-        evidence.append("no indicator pair or indicator-data association "
-                        "survived the Bonferroni threshold")
-    return AuditReport(report, tuple(data_rows), verdict, tuple(evidence), alpha)
-
-
-def _welch(g1: np.ndarray, g0: np.ndarray) -> tuple[float, float]:
-    """Welch's t statistic for mean(g1) - mean(g0) and its degrees of
-    freedom, as ``scipy.stats.ttest_ind(g1, g0, equal_var=False)`` defines
-    them: two constant groups give t = +-inf, or NaN when their means agree.
-    The degrees of freedom are taken from each group's share of the
-    variance, which cannot underflow."""
-    v1, v0 = g1.var(ddof=1) / len(g1), g0.var(ddof=1) / len(g0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stat = (g1.mean() - g0.mean()) / np.sqrt(v1 + v0)
-        r1, r0 = v1 / (v1 + v0), v0 / (v1 + v0)
-        df = 1.0 / (r1 * r1 / (len(g1) - 1) + r0 * r0 / (len(g0) - 1))
-    return float(stat), float(df)
 
 
 def summary_text(report: DependenceReport) -> str:

@@ -111,6 +111,9 @@ class ExperimentConfig:
             raise ValueError("seed must be a non-negative integer")
         if "p" in read and self.p < 2:
             raise ValueError("p must be >= 2")
+        if {"n_train", "p"} <= set(read) and self.n_train < self.p + 1:
+            raise ValueError(f"n_train={self.n_train} is below p + 1 = {self.p + 1}: "
+                             "each fit has p + 1 coefficients")
         if self.experiment in ("sim2", "sim3") and self.m < 2:
             raise ValueError(
                 f"m must be >= 2 for {self.experiment}: pooling needs at least "
@@ -470,6 +473,8 @@ def _map_replicates(fn, cfg: ExperimentConfig) -> list[dict]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
+    if cfg.experiment not in EXPERIMENT_IDS:
+        cfg.validate()  # a ValueError naming the choices, not a failed lookup
     # Looked up by module global at call time, so that a wrapper installed
     # over run_simN (as the benchmark's tracer does) is what runs.
     output = globals()[f"run_{cfg.experiment}"](cfg)

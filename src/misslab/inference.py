@@ -83,7 +83,7 @@ def pool(
 
 # Student's t is computed here rather than taken from scipy.special, whose
 # import costs about 26 MB and a quarter of a second per process: pooling needs
-# one quantile per interval, and the audit one tail per Welch test.
+# one quantile per interval, found by Newton steps on t_upper_tail.
 
 
 def _log_gamma_ratio(a: float) -> float:

@@ -1,4 +1,3 @@
-import itertools
 import math
 from dataclasses import astuple
 
@@ -8,28 +7,15 @@ import pytest
 from misslab.analyzer import (
     REPORT_COLUMNS,
     _chi2_tail,
-    _welch,
     PairStat,
-    VERDICT_DATA,
-    VERDICT_STRUCTURED,
-    VERDICT_UNSTRUCTURED,
-    mcar_structure_audit,
     pairwise_dependence,
     sequential_signature,
     summary_text,
 )
 from misslab.builtins import builtin_structures
 from misslab.fixtures import sim3_spec
-from misslab.inference import t_upper_tail
-from misslab.mechanisms import (
-    LogisticClause,
-    MechanismRule,
-    MechanismSpec,
-    TableClause,
-    data_col,
-    simulate_mask,
-)
-from misslab.tabular import DataMatrix, MissMask, write_table
+from misslab.mechanisms import simulate_mask
+from misslab.tabular import MissMask, write_table
 
 
 def loop_pairs(bits, alpha):
@@ -143,10 +129,8 @@ class TestPairwiseDependence:
         for bits in masks:
             for alpha in (0.01, 0.3, 0.9):
                 report = pairwise_dependence(MissMask(bits), alpha)
-                conditional = [f for f in report.conditional_flags
-                               if f[2] != "unconditional"]
-                assert conditional == loop_conditioning(bits, report)
-                flagged += len(conditional)
+                assert list(report.conditional_flags) == loop_conditioning(bits, report)
+                flagged += len(report.conditional_flags)
         assert flagged > 20
 
     def test_chi2_tail_matches_scipy(self):
@@ -211,6 +195,19 @@ class TestPairwiseDependence:
         for p in report.pairs:
             assert p.degenerate  # identical columns leave empty off-cells
 
+    def test_significant_pairs_use_bonferroni_over_all_pairs(self):
+        # M1 is constant, so two of the three pairs are undetermined. The
+        # M2-M3 table has p = 0.0073: significant at alpha over the one
+        # determined pair, but not at alpha over all three pairs, the
+        # threshold of significant_pairs and summary_text.
+        tables = {(1, 1): 20, (1, 0): 50, (0, 1): 50, (0, 0): 280}
+        bits = np.zeros((400, 3), dtype=np.uint8)
+        bits[:, 1:] = np.repeat(np.array(list(tables)), list(tables.values()), axis=0)
+        report = pairwise_dependence(MissMask(bits), alpha=0.01)
+        assert 0.01 / 3 < report.pair(1, 2).p_value < 0.01
+        assert report.significant_pairs() == []
+        assert "no significant pairwise dependence" in summary_text(report)
+
     def test_needs_two_rows(self):
         with pytest.raises(ValueError, match="two rows"):
             pairwise_dependence(MissMask([[0, 1]]))
@@ -262,108 +259,3 @@ class TestSequentialSignature:
     def test_bad_ordering_rejected(self):
         with pytest.raises(ValueError, match="permutation"):
             sequential_signature(MissMask(np.zeros((3, 2), dtype=np.uint8)), (0, 0))
-
-
-def _masked_matrix(spec, n, seed):
-    x = np.random.default_rng(seed).normal(size=(n, spec.p))
-    mask = simulate_mask(spec, x, seed=seed + 1)
-    return DataMatrix(x.copy(), mask, tuple(f"X{j+1}" for j in range(spec.p)))
-
-
-class TestAudit:
-    def test_welch_matches_scipy(self):
-        # Group sizes from 2 to 3000 and mean shifts up to 40 standard
-        # deviations, so the p-values span 1 down to below 1e-290.
-        from scipy import stats
-
-        rng = np.random.default_rng(16)
-        smallest = 1.0
-        for _ in range(400):
-            n1, n0 = rng.integers(2, [30, 3000], endpoint=True)
-            g1 = rng.normal(rng.choice([0.0, 0.1, 1.0, 40.0]) * rng.random(), rng.exponential(), n1)
-            g0 = rng.normal(0.0, rng.exponential(), n0)
-            stat, df = _welch(g1, g0)
-            ref = stats.ttest_ind(g1, g0, equal_var=False)
-            assert abs(stat - ref.statistic) <= 1e-12 * abs(ref.statistic)
-            pval = 2.0 * t_upper_tail(abs(stat), df)
-            if ref.pvalue > 1e-290:
-                assert abs(pval - ref.pvalue) <= 1e-10 * ref.pvalue
-                smallest = min(smallest, ref.pvalue)
-            else:
-                assert pval < 1e-280
-        assert smallest < 1e-200
-        # Constant groups: t is infinite with p = 0, or undefined.
-        assert _welch(np.ones(3), np.zeros(2))[0] == np.inf
-        assert t_upper_tail(math.inf, _welch(np.ones(3), np.zeros(2))[1]) == 0.0
-        assert math.isnan(_welch(np.ones(3), np.ones(4))[0])
-        # Scaling the data leaves t and df alone, also where the squared
-        # variances underflow.
-        g1, g0 = rng.normal(1.0, 1.0, 20), rng.normal(0.0, 2.0, 30)
-        for scale in (1e-150, 1e150):
-            assert _welch(scale * g1, scale * g0) == pytest.approx(_welch(g1, g0), rel=1e-12)
-
-    def test_data_rows_equal_scipy_reference(self):
-        spec = MechanismSpec(rules=(
-            MechanismRule(0, (TableClause.bernoulli(0.3),)),
-            MechanismRule(1, (LogisticClause(0.0, ((data_col(0), 0.3),)),)),
-            MechanismRule(2, (TableClause.bernoulli(0.02),)),
-        ))
-        from scipy import stats
-
-        for seed in range(5):
-            d = _masked_matrix(spec, 400, 60 + seed)
-            rows = mcar_structure_audit(d).data_associations
-            bits = d.missing.bits
-            ref = []
-            for j, k in itertools.permutations(range(3), 2):
-                if 0.0 < bits[:, j].mean() < 1.0:
-                    vals, groups = d.values[bits[:, k] == 0, k], bits[bits[:, k] == 0, j]
-                    t = stats.ttest_ind(vals[groups == 1], vals[groups == 0], equal_var=False)
-                    ref.append((j, k, t.statistic, t.pvalue))
-            assert len(rows) == len(ref) > 0
-            for row, want in zip(rows, ref):
-                assert row[:2] == want[:2]
-                assert row[2:] == pytest.approx(want[2:], rel=1e-10)
-
-    def test_unstructured_verdict_rate(self):
-        spec = builtin_structures("mcar_u_1", p=5)
-        verdicts = []
-        for seed in range(200):
-            d = _masked_matrix(spec, 1000, 10_000 + 7 * seed)
-            verdicts.append(mcar_structure_audit(d).verdict)
-        share = verdicts.count(VERDICT_UNSTRUCTURED) / len(verdicts)
-        assert share >= 0.95
-
-    def test_indicator_structure_detected(self):
-        d = _masked_matrix(builtin_structures("mcar_ws_seq"), 10_000, 42)
-        assert mcar_structure_audit(d).verdict == VERDICT_STRUCTURED
-
-    def test_data_dependence_detected(self):
-        spec = MechanismSpec(rules=(
-            MechanismRule(0, (TableClause.bernoulli(0.0),)),
-            MechanismRule(1, (LogisticClause(0.0, ((data_col(0), 2.0),)),)),
-            MechanismRule(2, (TableClause.bernoulli(0.2),)),
-        ))
-        d = _masked_matrix(spec, 10_000, 43)
-        report = mcar_structure_audit(d)
-        assert report.verdict == VERDICT_DATA
-        assert any("shifts observed values" in e for e in report.evidence)
-
-    def test_pair_evidence_is_the_report_bonferroni(self):
-        # M1 is constant, so two of the three pairs are undetermined. The
-        # M2-M3 table has p = 0.0073: significant at alpha over the one
-        # determined pair, but not at alpha over all three pairs, the
-        # threshold of significant_pairs and summary_text.
-        tables = {(1, 1): 20, (1, 0): 50, (0, 1): 50, (0, 0): 280}
-        bits = np.zeros((400, 3), dtype=np.uint8)
-        bits[:, 1:] = np.repeat(np.array(list(tables)), list(tables.values()), axis=0)
-        values = np.random.default_rng(44).normal(size=bits.shape)
-        audit = mcar_structure_audit(DataMatrix(values, MissMask(bits), ("X1", "X2", "X3")))
-        report = audit.pairwise
-        assert 0.01 / 3 < report.pair(1, 2).p_value < 0.01
-        assert [e for e in audit.evidence if e.startswith("mask columns")] == [
-            f"mask columns {ps.j + 1} and {ps.k + 1} associated "
-            f"(p={ps.p_value:.3g}, sign={ps.sign})"
-            for ps in report.significant_pairs()
-        ]
-        assert audit.verdict == VERDICT_UNSTRUCTURED

@@ -424,6 +424,7 @@ class TestExperimentVerb:
          "missing_rate=2.0 for structure complete: target rate must lie in [0, 1)"),
         ("sim1", {"missing_rate": 0.6},
          "missing_rate=0.6 for structure mcar_u_2: mcar_u_2 needs rate <= 0.5"),
+        ("sim1", {"n_train": 10}, "n_train=10 is below p + 1 = 11"),
     ])
     def test_empty_study_size_exits_one(self, tmp_path, capsys, experiment, override,
                                         message):
@@ -508,18 +509,17 @@ class TestExperimentVerb:
         assert not (tmp_path / "o").exists()
 
     def test_sim1_sample_too_small_names_the_cell(self, tmp_path, capsys):
-        # Five training rows leave X10 unobserved among them under mcar_u_2.
-        # (With every structure, an earlier cell stops first: five rows are
-        # too few for the analysis model's eleven coefficients.)
+        # Eleven training rows, as many as the analysis model's coefficients,
+        # leave X10 unobserved among them under mcar_u_2 in replicate 1.
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"n_train": 5, "n_test": 20,
+        config.write_text(json.dumps({"n_train": 11, "n_test": 20,
                                       "structures": ["mcar_u_2"]}))
         code = run(["experiment", "--id", "sim1", "--reps", 2, "--seed", 1,
                     "--config", config, "--out", tmp_path / "o"])
         err = capsys.readouterr().err
         assert code == 1, err
-        assert ("study 1 at n_train=5, rho=0.0, structure mcar_u_2, test rows "
-                "complete, replicate 0: column 'X10' (index 9) has no observed "
+        assert ("study 1 at n_train=11, rho=0.0, structure mcar_u_2, test rows "
+                "complete, replicate 1: column 'X10' (index 9) has no observed "
                 "values among fitting rows") in err
         assert "too small" in err
         assert not (tmp_path / "o").exists()
@@ -663,9 +663,9 @@ def test_cli_import_skips_scipy_stats(tmp_path, data_file):
 
 
 def test_statistics_skip_scipy(tmp_path, data_file):
-    # P-values and t quantiles are computed in misslab, so no verb, pooling,
-    # audit or inference study loads scipy.special or scipy.stats, which
-    # together cost a process about 26 MB.
+    # P-values and t quantiles are computed in misslab, so no verb, pooling
+    # or inference study loads scipy.special or scipy.stats, which together
+    # cost a process about 26 MB.
     rng = np.random.default_rng(2)
     bits = (rng.random((300, 4)) < 0.3).astype(np.uint8)
     bits[:, 1] = bits[:, 0] ^ (rng.random(300) < 0.1)  # a significant pair
@@ -685,20 +685,16 @@ def test_statistics_skip_scipy(tmp_path, data_file):
          "--maxit", "2", "--seed", "3", "--out", tmp_path / "norm"],
     ]
     code = ("import json, sys; from misslab.cli import dispatch; "
-            "from misslab.analyzer import mcar_structure_audit; "
             "from misslab.inference import pool; "
             "from misslab.experiments import ExperimentConfig, run_experiment; "
-            "from misslab.tabular import read_csv; "
             "assert [dispatch(v) for v in json.loads(sys.argv[1])] == [0, 0, 0, 0]; "
             "assert pool([1.0, 2.0], [1.0, 1.0]).ci_low < 1.5; "
-            "assert mcar_structure_audit(read_csv(sys.argv[2])).data_associations; "
             "run_experiment(ExperimentConfig('sim2', n_replicates=1, seed=5, n=100, m=2, "
             "q_grid=(0.5,), maxit_list=(2,), threads=1)); "
             "run_experiment(ExperimentConfig('sim3', n_replicates=1, seed=5, n=200, m=2, "
             "q_grid=(0.5,), sim3_maxit=2, threads=1)); "
             "assert not {'scipy.special', 'scipy.stats'} & set(sys.modules)")
-    subprocess.run([sys.executable, "-c", code, json.dumps([[str(a) for a in v] for v in verbs]),
-                    str(tmp_path / "incomplete.csv")],
+    subprocess.run([sys.executable, "-c", code, json.dumps([[str(a) for a in v] for v in verbs])],
                    check=True, env=_subprocess_env(), stdout=subprocess.DEVNULL)
     # The pair is significant, so the conditioning pass ran too.
     assert "M1 ~ M2:" in (tmp_path / "plain.summary.txt").read_text()
@@ -749,3 +745,14 @@ def test_module_entry_point_runs():
                          capture_output=True, text=True, check=True,
                          env=_subprocess_env())
     assert out.stdout == f"misslab {misslab.__version__}\n"
+
+
+def test_export_list_resolves():
+    # A stale or repeated name in __all__ would otherwise fail only a
+    # star-import.
+    assert len(set(misslab.__all__)) == len(misslab.__all__)
+    for name in misslab.__all__:
+        assert hasattr(misslab, name), name
+    namespace = {}
+    exec("from misslab import *", namespace)
+    assert set(misslab.__all__) <= set(namespace)

@@ -32,6 +32,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="unknown experiment"):
             ExperimentConfig("sim9").validate()
 
+    def test_run_experiment_rejects_unknown_experiment(self):
+        # Rejected by validate, ahead of the run_<id> lookup.
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown experiment 'sim9'; choose one of sim1, sim2, sim3")):
+            run_experiment(ExperimentConfig("sim9"))
+
     def test_rho_outside_positive_definite_range(self):
         with pytest.raises(ValueError, match="positive\\s*definite|positive "):
             ExperimentConfig("sim1", rho_list=(0.0, -0.2)).validate()

@@ -104,6 +104,26 @@ class TestPool:
                                                     rel=1e-14, abs=0)
         assert _t_quantile(math.inf, p) == NormalDist().inv_cdf(p)
 
+    def test_t_upper_tail_matches_scipy(self):
+        # Log-uniform t in [1e-3, 1e3] and df in [1, 1e7], so the tails run
+        # from 0.5 down past 1e-290 and both continued fractions are used:
+        # I_x(df/2, 1/2) where lam = (df/2 + 1/2) y - 1/2 >= 0, else its
+        # complement.
+        from scipy import stats
+
+        rng = np.random.default_rng(16)
+        ts, dfs = 10.0 ** rng.uniform(-3, 3, 4000), 10.0 ** rng.uniform(0, 7, 4000)
+        ours = np.array([t_upper_tail(t, df) for t, df in zip(ts, dfs)])
+        ref = stats.t.sf(ts, dfs)
+        big = ref > 1e-290
+        assert np.all(np.abs(ours[big] - ref[big]) <= 1e-10 * ref[big])
+        assert np.all(ours[~big] < 1e-280) and (~big).any()
+        assert ref.max() > 0.49 and ref[big].min() < 1e-200
+        y = ts * ts / (dfs + ts * ts)
+        lam = 0.5 * (dfs + 1.0) * y - 0.5
+        assert (lam >= 0.0).any() and (lam < 0.0).any()
+        assert t_upper_tail(math.inf, 1.0) == t_upper_tail(math.inf, 1e7) == 0.0
+
     def test_nan_degrees_of_freedom_give_nan(self):
         # The continued fraction never meets its stopping rule on NaN, so
         # without a check it runs to its iteration cap.
