@@ -60,6 +60,7 @@ class DependenceReport:
     conditional_flags: tuple[tuple[int, int, str, str], ...]
     alpha: float
     n_rows: int
+    pair_counts: np.ndarray  # the mask's pair counts the tables were built from
 
     def pair(self, j: int, k: int) -> PairStat:
         if j == k:
@@ -127,7 +128,7 @@ def pairwise_dependence(m: MissMask, alpha: float = ALPHA_DEFAULT) -> Dependence
     pairs = tuple(map(PairStat, j.tolist(), k.tolist(), *values.tolist(),
                       sign.tolist(), flag.tolist()))
     flags = _single_column_conditioning(bits, both, j[significant], k[significant], alpha)
-    return DependenceReport(pairs, sign_matrix, flags, alpha, n)
+    return DependenceReport(pairs, sign_matrix, flags, alpha, n, both)
 
 
 def _chi2_tail(stat: np.ndarray) -> np.ndarray:
@@ -184,9 +185,12 @@ class SequentialSignature:
 
 
 def sequential_signature(
-    m: MissMask, ordering: Sequence[int], alpha: float = ALPHA_DEFAULT
+    m: MissMask, ordering: Sequence[int], report: DependenceReport
 ) -> SequentialSignature:
     """Quantify how dropout-like a mask is under a declared column order.
+
+    ``report`` is ``m``'s dependence report; its significant pairs, alpha
+    and pair counts are read, not recomputed.
 
     ``monotone_fraction`` is the share of rows whose missing cells form a
     suffix of the ordered columns (fully observed rows count as monotone).
@@ -198,14 +202,16 @@ def sequential_signature(
     ordering = tuple(int(j) for j in ordering)
     if sorted(ordering) != list(range(p)):
         raise ValueError("ordering must be a permutation of 0..p-1")
+    if report.pair_counts.shape != (p, p) or report.n_rows != m.n:
+        raise ValueError("the dependence report was built from a different mask")
     fraction = float(monotone_rows(m.bits, ordering).mean())
 
     pos = np.argsort(ordering)
-    sig = pairwise_dependence(m, alpha).significant_pairs()
+    sig = report.significant_pairs()
     j = np.array([ps.j for ps in sig], dtype=np.intp)
     k = np.array([ps.k for ps in sig], dtype=np.intp)
     early, late = np.where(pos[j] < pos[k], j, k), np.where(pos[j] < pos[k], k, j)
-    both = m.pair_counts()
+    both = report.pair_counts
     miss = both.diagonal()
     lagged = both[early, late] / np.maximum(miss[early], 1)
     lead = both[early, late] / np.maximum(miss[late], 1)

@@ -1,10 +1,16 @@
 """Canonical missingness structures used by the prediction study.
 
-Ten named structures over ``p`` columns, each (except ``complete``)
-calibrated so the expected share of missing cells hits ``rate`` (default
-45%). The uniform-rate and fixed-profile variants are exact; the
-structured variants solve for their free parameter by bisection on the
-analytic expected rate.
+Ten named structures over ``p`` columns: the completely-at-random row of
+the taxonomy, indicator structure (unstructured, weak, strong) crossed with
+shape. Each (except ``complete``) is calibrated so the expected share of
+missing cells hits ``rate`` (default 45%).
+
+Each is declared by its shape, from one of three builders. The five
+unstructured ones are independent per-column rates, set exactly. The two
+sequential ones are indicator chains, each column coupled to the one
+before it. The three block ones share one latent block. The structured
+variants solve for their free parameter by bisection on the analytic
+expected rate, except ``unit_block``, whose block probability is ``rate``.
 
 ``unit_block`` marks whole subjects missing; analyses are expected to drop
 those rows rather than impute them.
@@ -24,7 +30,6 @@ from .mechanisms import (
     STRONG,
     UNSTRUCTURED,
     WEAK,
-    Comparison,
     ForceClause,
     LatentBlock,
     MechanismRule,
@@ -36,12 +41,8 @@ from .mechanisms import (
     mask_col,
 )
 
-BUILTIN_NAMES = (
-    "complete",
-    "mcar_u_1",
-    "mcar_u_2",
-    "mcar_u_3",
-    "mcar_u_4",
+_UNSTRUCTURED_NAMES = ("complete", "mcar_u_1", "mcar_u_2", "mcar_u_3", "mcar_u_4")
+BUILTIN_NAMES = _UNSTRUCTURED_NAMES + (
     "mcar_ws_block",
     "mcar_ws_seq",
     "mcar_ss_block",
@@ -52,9 +53,6 @@ BUILTIN_NAMES = (
 _WS_BLOCK_PI = 0.5  # share of rows in the elevated-missingness batch
 _WS_BLOCK_RATIO = 0.2  # baseline probability as a fraction of the batch one
 _WS_SEQ_STICKINESS = 0.8  # P(missing | previous visit missed)
-
-_MCAR_U_LABEL = TaxonomyLabel(MCAR, UNSTRUCTURED, SHAPE_NONE, PROBABILISTIC)
-
 
 def _bisect(fn, target: float, lo: float, hi: float, tol: float = 1e-9) -> float:
     """Solve fn(x) = target for increasing fn on [lo, hi]."""
@@ -74,13 +72,6 @@ def _bisect(fn, target: float, lo: float, hi: float, tol: float = 1e-9) -> float
     return 0.5 * (lo + hi)
 
 
-def _bernoulli_rules(rates) -> tuple[MechanismRule, ...]:
-    return tuple(
-        MechanismRule(j, (TableClause.bernoulli(float(r)),))
-        for j, r in enumerate(rates)
-    )
-
-
 def _chain_mean(b: float, a: float, p: int) -> float:
     pi = b
     total = pi
@@ -93,6 +84,35 @@ def _chain_mean(b: float, a: float, p: int) -> float:
 def _dropout_mean(h: float, p: int) -> float:
     j = np.arange(1, p + 1)
     return float(1.0 - np.mean((1.0 - h) ** j))
+
+
+def _unstructured_rates(name: str, p: int, rate: float):
+    """Per-column rates of ``complete`` and ``mcar_u_1`` to ``mcar_u_4``."""
+    if name == "complete":
+        return [0.0] * p
+    if name == "mcar_u_1":
+        return [rate] * p
+    if name == "mcar_u_2":
+        # Evenly climbing per-column rates, from fully observed to 2*rate.
+        rates = np.linspace(0.0, 2.0 * rate, p)
+        if rates[-1] > 1.0:
+            raise SpecificationError("mcar_u_2 needs rate <= 0.5")
+        return rates
+    # The leading half (mcar_u_3) or first column (mcar_u_4) stays observed;
+    # the other columns share the target.
+    spared = p // 2 if name == "mcar_u_3" else 1
+    rest = rate * p / (p - spared)
+    if rest > 1.0:
+        raise SpecificationError(f"{name} target rate too high")
+    return [0.0] * spared + [rest] * (p - spared)
+
+
+def _chain(p: int, first, later) -> tuple[MechanismRule, ...]:
+    """An indicator chain: column 0 takes the clauses ``first`` and column j
+    the clauses ``later(mask_col(j - 1))``."""
+    return (MechanismRule(0, first),) + tuple(
+        MechanismRule(j, later(mask_col(j - 1))) for j in range(1, p)
+    )
 
 
 def builtin_structures(name: str, p: int = 10, rate: float = 0.45) -> MechanismSpec:
@@ -110,124 +130,60 @@ def builtin_structures(name: str, p: int = 10, rate: float = 0.45) -> MechanismS
     if not (0.0 <= rate < 1.0):
         raise SpecificationError("target rate must lie in [0, 1)")
 
-    if name == "complete":
+    if name in _UNSTRUCTURED_NAMES:
+        rates = _unstructured_rates(name, p, rate)
         return MechanismSpec(
-            rules=_bernoulli_rules([0.0] * p), declared_label=_MCAR_U_LABEL
+            rules=tuple(
+                MechanismRule(j, (TableClause.bernoulli(float(r)),))
+                for j, r in enumerate(rates)
+            ),
+            declared_label=TaxonomyLabel(MCAR, UNSTRUCTURED, SHAPE_NONE, PROBABILISTIC),
         )
 
-    if name == "mcar_u_1":
-        return MechanismSpec(
-            rules=_bernoulli_rules([rate] * p), declared_label=_MCAR_U_LABEL
-        )
-
-    if name == "mcar_u_2":
-        # Evenly climbing per-column rates, from fully observed to 2*rate.
-        rates = np.linspace(0.0, 2.0 * rate, p)
-        if rates[-1] > 1.0:
-            raise SpecificationError("mcar_u_2 needs rate <= 0.5")
-        return MechanismSpec(
-            rules=_bernoulli_rules(rates), declared_label=_MCAR_U_LABEL
-        )
-
-    if name == "mcar_u_3":
-        half = p // 2
-        top = rate * p / (p - half)
-        if top > 1.0:
-            raise SpecificationError("mcar_u_3 target rate too high")
-        rates = [0.0] * half + [top] * (p - half)
-        return MechanismSpec(
-            rules=_bernoulli_rules(rates), declared_label=_MCAR_U_LABEL
-        )
-
-    if name == "mcar_u_4":
-        rest = rate * p / (p - 1)
-        if rest > 1.0:
-            raise SpecificationError("mcar_u_4 target rate too high")
-        rates = [0.0] + [rest] * (p - 1)
-        return MechanismSpec(
-            rules=_bernoulli_rules(rates), declared_label=_MCAR_U_LABEL
-        )
-
+    blocks: tuple[LatentBlock, ...] = ()
     if name == "mcar_ws_block":
+        structure, shape = WEAK, BLOCK
         pi, ratio = _WS_BLOCK_PI, _WS_BLOCK_RATIO
-        p_batch = _bisect(
-            lambda x: pi * x + (1 - pi) * ratio * x, rate, 0.0, 1.0
-        )
+        p_batch = _bisect(lambda x: pi * x + (1 - pi) * ratio * x, rate, 0.0, 1.0)
         clause = TableClause.from_dict(
             (block_ref(0),), {(0,): ratio * p_batch, (1,): p_batch}
         )
-        return MechanismSpec(
-            rules=tuple(MechanismRule(j, (clause,)) for j in range(p)),
-            blocks=(LatentBlock(pi),),
-            declared_label=TaxonomyLabel(MCAR, WEAK, BLOCK, PROBABILISTIC, POSITIVE),
-        )
-
-    if name == "mcar_ws_seq":
+        rules = tuple(MechanismRule(j, (clause,)) for j in range(p))
+        blocks = (LatentBlock(pi),)
+    elif name == "mcar_ws_seq":
+        structure, shape = WEAK, SEQUENTIAL
         a = _WS_SEQ_STICKINESS
         b = _bisect(lambda x: _chain_mean(x, a, p), rate, 0.0, min(1.0, a))
-        rules = [MechanismRule(0, (TableClause.bernoulli(b),))]
-        for j in range(1, p):
-            rules.append(
-                MechanismRule(
-                    j,
-                    (TableClause.from_dict((mask_col(j - 1),), {(0,): b, (1,): a}),),
-                )
-            )
-        return MechanismSpec(
-            rules=tuple(rules),
-            declared_label=TaxonomyLabel(
-                MCAR, WEAK, SEQUENTIAL, PROBABILISTIC, POSITIVE
-            ),
+        rules = _chain(
+            p, (TableClause.bernoulli(b),),
+            lambda prev: (TableClause.from_dict((prev,), {(0,): b, (1,): a}),),
         )
-
-    if name == "mcar_ss_block":
-        # Same per-column rates as mcar_u_4, but the cells vanish jointly:
-        # one whole bank of columns drops for a share of the subjects.
-        members = list(range(1, p))
-        pi = _bisect(lambda x: x * len(members) / p, rate, 0.0, 1.0)
-        rules = []
-        for j in range(p):
-            if j in members:
-                rules.append(
-                    MechanismRule(
-                        j, (ForceClause((Comparison(block_ref(0), "==", 1.0),), 1),)
-                    )
-                )
-            else:
-                rules.append(MechanismRule(j, (TableClause.bernoulli(0.0),)))
-        return MechanismSpec(
-            rules=tuple(rules),
-            blocks=(LatentBlock(pi),),
-            declared_label=TaxonomyLabel(MCAR, STRONG, BLOCK, PROBABILISTIC, POSITIVE),
-        )
-
-    if name == "mcar_ss_seq":
+    elif name == "mcar_ss_seq":
+        # Dropout: once a visit is missed, every later one is.
+        structure, shape = STRONG, SEQUENTIAL
         h = _bisect(lambda x: _dropout_mean(x, p), rate, 0.0, 1.0)
-        rules = [MechanismRule(0, (TableClause.bernoulli(h),))]
-        for j in range(1, p):
-            rules.append(
-                MechanismRule(
-                    j,
-                    (
-                        ForceClause((Comparison(mask_col(j - 1), "==", 1.0),), 1),
-                        TableClause.bernoulli(h),
-                    ),
-                )
-            )
-        return MechanismSpec(
-            rules=tuple(rules),
-            declared_label=TaxonomyLabel(MCAR, STRONG, SEQUENTIAL, PROBABILISTIC,
-                                         POSITIVE),
+        rules = _chain(
+            p, (TableClause.bernoulli(h),),
+            lambda prev: (ForceClause.follows(prev), TableClause.bernoulli(h)),
         )
-
-    # unit_block: whole subjects unobserved with probability rate.
-    rules = tuple(
-        MechanismRule(j, (ForceClause((Comparison(block_ref(0), "==", 1.0),), 1),))
-        for j in range(p)
-    )
+    else:
+        # One latent block drops columns 1..p-1 jointly. unit_block drops
+        # column 0 with them, so whole subjects go unobserved with
+        # probability rate. mcar_ss_block spares column 0, giving mcar_u_4's
+        # per-column rates with the cells vanishing together.
+        structure, shape = STRONG, BLOCK
+        force = (ForceClause.follows(block_ref(0)),)
+        if name == "unit_block":
+            first, pi = force, rate
+        else:
+            first = (TableClause.bernoulli(0.0),)
+            pi = _bisect(lambda x: x * (p - 1) / p, rate, 0.0, 1.0)
+        rules = (MechanismRule(0, first),) + tuple(
+            MechanismRule(j, force) for j in range(1, p)
+        )
+        blocks = (LatentBlock(pi),)
     return MechanismSpec(
         rules=rules,
-        blocks=(LatentBlock(rate),),
-        declared_label=TaxonomyLabel(MCAR, STRONG, BLOCK, PROBABILISTIC, POSITIVE),
+        blocks=blocks,
+        declared_label=TaxonomyLabel(MCAR, structure, shape, PROBABILISTIC, POSITIVE),
     )
-

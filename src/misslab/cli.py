@@ -162,7 +162,7 @@ def _cmd_analyze(args) -> int:
     text = summary_text(report)
     if args.ordering is not None:
         ordering = read_ordering(_require_file(args.ordering, "--ordering"), names)
-        sig = sequential_signature(mask, ordering, alpha=args.alpha)
+        sig = sequential_signature(mask, ordering, report)
         text += (
             f"sequential signature: monotone_fraction={sig.monotone_fraction}, "
             f"forward_only={sig.forward_only}\n"

@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__
 from .analyzer import pairwise_dependence
 from .builtins import BUILTIN_NAMES, builtin_structures
-from .fixtures import sim2_label, sim2_spec, sim3_label, sim3_spec
+from .fixtures import sim2_spec, sim3_spec
 from .impute import ImputationConfig, fcs_impute
 from .inference import ols_fit, pool, predict_mse, replicate_metrics
 from .mechanisms import (
@@ -225,7 +225,7 @@ def _sim1_cell(
         pred = fit.predict(_with_intercept(x[test]))
         return float(np.mean((pred - y[test]) ** 2))
 
-    dm = DataMatrix(x.copy(), MissMask(bits), default_names(cfg.p))
+    dm = DataMatrix(x, MissMask(bits), default_names(cfg.p))
     ignore = np.zeros(n, dtype=bool)
     ignore[n_train:] = True
     impcfg = ImputationConfig(
@@ -285,11 +285,11 @@ def _mse_stats(group: list[dict]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _check_label(spec: MechanismSpec, expected, context: str) -> None:
-    got = classify(spec)
-    if got != expected:
+def _check_label(spec: MechanismSpec, context: str) -> None:
+    got, declared = classify(spec), spec.declared_label
+    if got != declared:
         raise SpecificationError(
-            f"{context}: spec classifies as {got} but {expected} was declared"
+            f"{context}: spec classifies as {got} but {declared} was declared"
         )
 
 
@@ -319,7 +319,7 @@ def _sim2_replicate(cfg: ExperimentConfig, rep: int) -> list[dict]:
         x3 = 1.0 + x1 + 2.0 * x2 + rng.standard_normal(n)
         x = np.column_stack([x1, x2, x3])
         mask = simulate_mask(sim2_spec(q), x, _seed_seq(cfg, q_idx, rep, 1))
-        dm = DataMatrix(x.copy(), mask, ("X1", "X2", "X3"))
+        dm = DataMatrix(x, mask, ("X1", "X2", "X3"))
         for m_idx, maxit in enumerate(cfg.maxit_list):
             pooled = _pooled_cell(
                 f"study 2 at n={n}, q={q}, replicate {rep}, maxit {maxit}", dm, cfg,
@@ -345,7 +345,7 @@ def _sim3_replicate(cfg: ExperimentConfig, rep: int) -> list[dict]:
         full = np.column_stack([z, x1, x2])
         mask = simulate_mask(sim3_spec(q), full, _seed_seq(cfg, q_idx, rep, 1))
         # The analyst never sees the latent column.
-        analyst = DataMatrix(full[:, 1:].copy(), MissMask(mask.bits[:, 1:]), ("X1", "X2"))
+        analyst = DataMatrix(full[:, 1:], MissMask(mask.bits[:, 1:]), ("X1", "X2"))
         sign = pairwise_dependence(analyst.missing).pair(0, 1).sign
         # The indicator route regresses X2 on the fully observed M1 in one pass.
         indicator = DataMatrix(
@@ -394,7 +394,8 @@ class _Study:
     replicate: Callable[[ExperimentConfig, int], list[dict]]
     summarise: Callable[[list[dict]], dict]  # one grid point's rows -> stats
     notes: tuple[str, ...] = ()
-    labels: tuple[Callable, Callable] | None = None  # (spec, label) checked per q
+    # The mechanism at each q, checked against the label it declares.
+    spec: Callable[[float], MechanismSpec] | None = None
     # Summary row order, from the config; by default the sorted keys.
     order: Callable[[ExperimentConfig], Iterable[tuple]] | None = None
 
@@ -414,12 +415,12 @@ _STUDIES = {
         _COMMON_FIELDS + ("n", "q_grid", "maxit_list"), ("q", "maxit"), _POOLED,
         _BIAS_COVERAGE, _sim2_replicate, partial(_bias_coverage, truth=SIM2_TRUE_SLOPE),
         notes=(f"analysis slope truth = {SIM2_TRUE_SLOPE}",),
-        labels=(sim2_spec, sim2_label),
+        spec=sim2_spec,
     ),
     "sim3": _Study(
         _COMMON_FIELDS + ("n", "q_grid", "sim3_maxit"), ("q", "approach"),
         _POOLED + ("m1_m2_sign",), _BIAS_COVERAGE + ("modal_sign",), _sim3_replicate,
-        _sim3_stats, notes=(SIM3_TRUTH_NOTE,), labels=(sim3_spec, sim3_label),
+        _sim3_stats, notes=(SIM3_TRUTH_NOTE,), spec=sim3_spec,
     ),
 }
 
@@ -428,10 +429,9 @@ def _run(cfg: ExperimentConfig, experiment: str) -> ExperimentOutput:
     cfg = replace(cfg, experiment=experiment)
     cfg.validate()
     study = _STUDIES[experiment]
-    if study.labels is not None:
-        spec, label = study.labels
+    if study.spec is not None:
         for q in cfg.effective_q_grid():
-            _check_label(spec(q), label(q),
+            _check_label(study.spec(q),
                          f"study {EXPERIMENT_IDS.index(experiment) + 1} at q={q}")
     rows = _map_replicates(study.replicate, cfg)
     rows.sort(key=lambda r: (*(r[k] for k in study.keys), r["replicate"]))

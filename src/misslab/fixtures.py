@@ -52,6 +52,23 @@ def sim2_label(q: float) -> TaxonomyLabel:
     return TaxonomyLabel(MAR, structure, SEQUENTIAL, PROBABILISTIC, NEGATIVE)
 
 
+def _study_spec(q: float, missing_given_missing: float, **fields) -> MechanismSpec:
+    """The three rules the inference studies share: the first column stays
+    complete, the second goes missing through a logistic effect of the
+    first's value, and the third goes missing with probability ``q`` when
+    the second is observed and ``missing_given_missing`` when it is missing.
+    """
+    if not (0.0 <= q <= 1.0):
+        raise ValueError("q must lie in [0, 1]")
+    table = {(0,): q, (1,): missing_given_missing}
+    rules = (
+        _bern(0, 0.0),
+        MechanismRule(1, (LogisticClause(0.0, ((data_col(0), 2.0),)),)),
+        MechanismRule(2, (TableClause.from_dict((mask_col(1),), table),)),
+    )
+    return MechanismSpec(rules=rules, **fields)
+
+
 def sim2_spec(q: float) -> MechanismSpec:
     """Mechanism of the at-random inference study.
 
@@ -60,20 +77,8 @@ def sim2_spec(q: float) -> MechanismSpec:
     X2 is observed, never when X2 is missing. At q=1 the last two columns
     are never jointly observed (a file-matching pattern).
     """
-    if not (0.0 <= q <= 1.0):
-        raise ValueError("q must lie in [0, 1]")
-    rules = (
-        _bern(0, 0.0),
-        MechanismRule(1, (LogisticClause(0.0, ((data_col(0), 2.0),)),)),
-        MechanismRule(
-            2, (TableClause.from_dict((mask_col(1),), {(0,): q, (1,): 0.0}),)
-        ),
-    )
-    return MechanismSpec(
-        rules=rules,
-        declared_label=sim2_label(q),
-        col_names=("X1", "X2", "X3"),
-    )
+    return _study_spec(q, 0.0, declared_label=sim2_label(q),
+                       col_names=("X1", "X2", "X3"))
 
 
 def sim3_label(q: float) -> TaxonomyLabel:
@@ -98,21 +103,8 @@ def sim3_spec(q: float) -> MechanismSpec:
     analyst): X1 goes missing through a logistic effect of z, X2 through a
     table on X1's indicator (1/2 if missing, ``q`` if observed).
     """
-    if not (0.0 <= q <= 1.0):
-        raise ValueError("q must lie in [0, 1]")
-    rules = (
-        _bern(0, 0.0),
-        MechanismRule(1, (LogisticClause(0.0, ((data_col(0), 2.0),)),)),
-        MechanismRule(
-            2, (TableClause.from_dict((mask_col(1),), {(0,): q, (1,): 0.5}),)
-        ),
-    )
-    return MechanismSpec(
-        rules=rules,
-        latent_columns=frozenset({0}),
-        declared_label=sim3_label(q),
-        col_names=("Z", "X1", "X2"),
-    )
+    return _study_spec(q, 0.5, latent_columns=frozenset({0}),
+                       declared_label=sim3_label(q), col_names=("Z", "X1", "X2"))
 
 
 def canonical_taxonomy_specs() -> dict[str, MechanismSpec]:
@@ -132,22 +124,10 @@ def canonical_taxonomy_specs() -> dict[str, MechanismSpec]:
     )
 
     specs["MCAR-SS"] = MechanismSpec(
-        rules=(
-            _bern(0, 0.3),
-            MechanismRule(
-                1,
-                (
-                    ForceClause((Comparison(mask_col(0), "==", 1.0),), 1),
-                    TableClause.bernoulli(0.1),
-                ),
-            ),
-            MechanismRule(
-                2,
-                (
-                    ForceClause((Comparison(mask_col(1), "==", 1.0),), 1),
-                    TableClause.bernoulli(0.1),
-                ),
-            ),
+        rules=(_bern(0, 0.3),) + tuple(
+            MechanismRule(j, (ForceClause.follows(mask_col(j - 1)),
+                              TableClause.bernoulli(0.1)))
+            for j in (1, 2)
         ),
         declared_label=TaxonomyLabel(MCAR, STRONG, SEQUENTIAL, PROBABILISTIC,
                                      POSITIVE),
@@ -193,7 +173,7 @@ def canonical_taxonomy_specs() -> dict[str, MechanismSpec]:
             MechanismRule(
                 1, (ForceClause((Comparison(data_col(0), ">=", 0.8),), 1),)
             ),
-            MechanismRule(2, (ForceClause((Comparison(mask_col(1), "==", 1.0),), 1),)),
+            MechanismRule(2, (ForceClause.follows(mask_col(1)),)),
         ),
         declared_label=TaxonomyLabel(MAR, STRONG, SEQUENTIAL, DETERMINISTIC,
                                      POSITIVE),
@@ -242,7 +222,7 @@ def canonical_taxonomy_specs() -> dict[str, MechanismSpec]:
             MechanismRule(
                 1, (ForceClause((Comparison(data_col(1), "<", -0.5),), 1),)
             ),
-            MechanismRule(2, (ForceClause((Comparison(mask_col(1), "==", 1.0),), 1),)),
+            MechanismRule(2, (ForceClause.follows(mask_col(1)),)),
         ),
         declared_label=TaxonomyLabel(MNAR, STRONG, SEQUENTIAL, DETERMINISTIC,
                                      POSITIVE),
@@ -334,8 +314,8 @@ def genomic_testing_spec() -> MechanismSpec:
         MechanismRule(
             2, (LogisticClause(-1.0, ((data_col(0), 0.8), (data_col(1), 0.3))),)
         ),
-        MechanismRule(3, (ForceClause((Comparison(mask_col(2), "==", 1.0),), 1),)),
-        MechanismRule(4, (ForceClause((Comparison(mask_col(2), "==", 1.0),), 1),)),
+        MechanismRule(3, (ForceClause.follows(mask_col(2)),)),
+        MechanismRule(4, (ForceClause.follows(mask_col(2)),)),
     )
     return MechanismSpec(
         rules=rules,

@@ -145,6 +145,11 @@ def _edge(
     return _Dependence((ref.kind, ref.index or 0), target, deterministic, sign)
 
 
+def _one_sign(signs: set[str]) -> str | None:
+    """The sign of a set of couplings: none, the one they share, or MIXED."""
+    return MIXED if len(signs) > 1 else next(iter(signs), None)
+
+
 def _map_pred(pred: Predicate | None, fn) -> Predicate | None:
     if pred is None:
         return None
@@ -268,7 +273,6 @@ class TableClause:
     def _parent_effect(self, pos: int):
         """(varies, reaches_one, sign) for the ``pos``-th parent."""
         probs = self.prob_map()
-        varies = False
         reaches_one = False
         signs: set[str] = set()
         for key, p1 in probs.items():
@@ -276,14 +280,10 @@ class TableClause:
                 k0 = key[:pos] + (0,) + key[pos + 1:]
                 p0 = probs[k0]
                 if p1 != p0:
-                    varies = True
                     signs.add(POSITIVE if p1 > p0 else NEGATIVE)
                     if max(p0, p1) == 1.0:
                         reaches_one = True
-        if not varies:
-            return False, False, None
-        sign = signs.pop() if len(signs) == 1 else MIXED
-        return True, reaches_one, sign
+        return bool(signs), reaches_one, _one_sign(signs)
 
 
 @dataclass(frozen=True)
@@ -331,6 +331,12 @@ class ForceClause(_PredicateClause):
             raise SpecificationError("forced value must be 0 or 1")
         if not self.when:
             raise SpecificationError("force clause needs a non-empty predicate")
+
+    @classmethod
+    def follows(cls, ref: PredictorRef) -> "ForceClause":
+        """Strong coupling: missing wherever ``ref``, an indicator or a latent
+        block, is 1."""
+        return cls((Comparison(ref, "==", 1.0),), 1)
 
     def apply(self, ctx: "_EvalContext", out: "_RuleOutcome") -> None:
         out.forced[self.value] |= ctx.predicate(self.when) & out.scope
@@ -817,16 +823,7 @@ def classify(spec: MechanismSpec) -> TaxonomyLabel:
         forward = all(pos[e.source[1]] < pos[e.target] for e in mask_edges)
         shape = SEQUENTIAL if forward and not block_coupled else BLOCK
 
-    if not signs:
-        sign = None
-    elif signs == {POSITIVE}:
-        sign = POSITIVE
-    elif signs == {NEGATIVE}:
-        sign = NEGATIVE
-    else:
-        sign = MIXED
-
-    return TaxonomyLabel(data_dep, structure, shape, determinism, sign)
+    return TaxonomyLabel(data_dep, structure, shape, determinism, _one_sign(signs))
 
 
 # ---------------------------------------------------------------------------

@@ -234,28 +234,37 @@ class TestSequentialSignature:
     def test_monotone_dropout_scores_one(self):
         x = np.random.default_rng(0).normal(size=(10_000, 10))
         mask = simulate_mask(builtin_structures("mcar_ss_seq"), x, seed=1)
-        sig = sequential_signature(mask, range(10))
+        sig = sequential_signature(mask, range(10), pairwise_dependence(mask))
         assert sig.monotone_fraction == 1.0
         assert sig.forward_only
 
     def test_all_observed_vacuous(self):
-        sig = sequential_signature(MissMask(np.zeros((50, 4), dtype=np.uint8)),
-                                   range(4))
+        mask = MissMask(np.zeros((50, 4), dtype=np.uint8))
+        sig = sequential_signature(mask, range(4), pairwise_dependence(mask))
         assert sig.monotone_fraction == 1.0
         assert sig.forward_only
 
     def test_symmetric_block_not_forward_only(self):
         x = np.random.default_rng(2).normal(size=(5000, 10))
         mask = simulate_mask(builtin_structures("mcar_ss_block"), x, seed=3)
-        sig = sequential_signature(MissMask(mask.bits[:, 1:]), range(9))
+        bank = MissMask(mask.bits[:, 1:])
+        sig = sequential_signature(bank, range(9), pairwise_dependence(bank))
         assert not sig.forward_only
 
     def test_fraction_counts_suffix_rows(self):
         bits = np.array([[0, 0, 1], [0, 1, 0], [1, 1, 1], [0, 0, 0]],
                         dtype=np.uint8)
-        sig = sequential_signature(MissMask(bits), range(3))
+        mask = MissMask(bits)
+        sig = sequential_signature(mask, range(3), pairwise_dependence(mask))
         assert sig.monotone_fraction == 0.75
 
     def test_bad_ordering_rejected(self):
+        mask = MissMask(np.zeros((3, 2), dtype=np.uint8))
         with pytest.raises(ValueError, match="permutation"):
-            sequential_signature(MissMask(np.zeros((3, 2), dtype=np.uint8)), (0, 0))
+            sequential_signature(mask, (0, 0), pairwise_dependence(mask))
+
+    def test_report_of_another_mask_rejected(self):
+        mask = MissMask(np.zeros((3, 2), dtype=np.uint8))
+        other = MissMask(np.zeros((4, 2), dtype=np.uint8))
+        with pytest.raises(ValueError, match="different mask"):
+            sequential_signature(mask, (0, 1), pairwise_dependence(other))

@@ -1,16 +1,34 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from misslab import fixtures
 from misslab.builtins import (
     BUILTIN_NAMES,
     _chain_mean,
     _dropout_mean,
     builtin_structures,
 )
-from misslab.mechanisms import SpecificationError, classify, mask_law, simulate_mask
+from misslab.mechanisms import (
+    MechanismSpec,
+    SpecificationError,
+    classify,
+    dumps_spec,
+    mask_law,
+    simulate_mask,
+)
 from misslab.tabular import pattern_summary
+
+# SHA-256 of the spec texts below, recorded before the builders were
+# rewritten by shape.
+BUILTIN_SPEC_DIGEST = (
+    "a97c54e2d3c245a47d0f7a7dbbf548a72de4bf745362e3a256a5e312a02988c1"
+)
+FIXTURE_SPEC_DIGEST = (
+    "350c38ccd78be9172283655515e62bf76885d00ef7eb3e9e313110d59a32c7bb"
+)
 
 
 def law_rates(name: str, p: int = 10, rate: float = 0.45) -> np.ndarray:
@@ -120,3 +138,45 @@ class TestDeclaredLabels:
     def test_classify_matches_declared(self, name):
         spec = builtin_structures(name)
         assert classify(spec) == spec.declared_label
+
+
+def _fixture_specs() -> dict[str, MechanismSpec]:
+    specs = dict(fixtures.canonical_taxonomy_specs())
+    for make in (fixtures.subject_effect_variant, fixtures.psa_logical_spec,
+                 fixtures.psa_screening_spec, fixtures.genomic_testing_spec):
+        specs[make.__name__] = make()
+    for q in (0.0, 0.25, 0.5, 0.75, 1.0):
+        specs[f"sim2_spec({q})"] = fixtures.sim2_spec(q)
+        specs[f"sim3_spec({q})"] = fixtures.sim3_spec(q)
+    return specs
+
+
+def _digest(texts) -> str:
+    return hashlib.sha256("".join(texts).encode()).hexdigest()
+
+
+class TestGoldenSpecJson:
+    """The canonical spec JSON of every builtin and fixture, pinned by digest.
+
+    A refactor of how these specs are built must leave every byte, and every
+    error message of an unachievable target, as it is.
+    """
+
+    def test_builtin_specs_match_golden_digest(self):
+        texts = []
+        for name in BUILTIN_NAMES:
+            for p in (2, 3, 5, 10, 17):
+                for rate in (0.0, 0.1, 0.3, 0.45, 0.5, 0.7):
+                    try:
+                        text = dumps_spec(builtin_structures(name, p, rate))
+                    except SpecificationError as exc:
+                        text = f"error: {exc}\n"
+                    texts.append(f"{name} p={p} rate={rate}\n{text}")
+        assert len(texts) == 300
+        assert _digest(texts) == BUILTIN_SPEC_DIGEST
+
+    def test_fixture_specs_match_golden_digest(self):
+        specs = _fixture_specs()
+        assert len(specs) == 25
+        texts = [f"{key}\n{dumps_spec(spec)}" for key, spec in specs.items()]
+        assert _digest(texts) == FIXTURE_SPEC_DIGEST

@@ -185,6 +185,31 @@ class TestAnalyze:
         assert run(["analyze", "--mask", path, "--ordering", ordering]) == 0
         assert "sequential signature" in capsys.readouterr().out
 
+    def test_ordering_reuses_the_dependence_report(self, tmp_path, monkeypatch):
+        # The sequential signature reads the report analyze has already
+        # built: one dependence pass and one pair count per verb.
+        import misslab.analyzer
+        import misslab.cli
+
+        calls = {"pairwise_dependence": 0, "pair_counts": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        dependence = counted("pairwise_dependence", misslab.analyzer.pairwise_dependence)
+        monkeypatch.setattr(misslab.analyzer, "pairwise_dependence", dependence)
+        monkeypatch.setattr(misslab.cli, "pairwise_dependence", dependence)
+        monkeypatch.setattr(MissMask, "pair_counts",
+                            counted("pair_counts", MissMask.pair_counts))
+        ordering = tmp_path / "order.txt"
+        ordering.write_text("a\nb\nc\n")
+        assert run(["analyze", "--mask", self._mask_file(tmp_path),
+                    "--ordering", ordering, "--out", tmp_path / "rep"]) == 0
+        assert calls == {"pairwise_dependence": 1, "pair_counts": 1}
+
     @pytest.mark.parametrize("text", ["c,0\n1\n", "b\r\na\r\n2"])
     def test_ordering_by_index_and_name(self, tmp_path, capsys, text):
         ordering = tmp_path / "order.txt"

@@ -107,12 +107,14 @@ class TestConfigValidation:
 
 class TestLabelValidation:
     def test_matching_label_passes(self):
-        _check_label(sim2_spec(0.3), sim2_spec(0.3).declared_label, "ctx")
+        _check_label(sim2_spec(0.3), "ctx")
 
     def test_mismatch_raises(self):
         wrong = TaxonomyLabel("MCAR", "unstructured", "none", "probabilistic")
-        with pytest.raises(SpecificationError, match="classifies as"):
-            _check_label(sim2_spec(0.3), wrong, "ctx")
+        spec = replace(sim2_spec(0.3), declared_label=wrong)
+        message = f"ctx: spec classifies as {sim2_spec(0.3).declared_label} but {wrong} was declared"
+        with pytest.raises(SpecificationError, match=re.escape(message)):
+            _check_label(spec, "ctx")
 
     def test_sim3_labels_cover_grid(self):
         for q in (0.0, 0.25, 0.5, 0.75, 1.0):
