@@ -28,7 +28,6 @@ from .mechanisms import (
     TableClause,
     TaxonomyLabel,
     classify,
-    compose,
     load_spec,
     mask_law,
     save_spec,
@@ -79,7 +78,6 @@ __all__ = [
     "TableClause",
     "TaxonomyLabel",
     "classify",
-    "compose",
     "load_spec",
     "mask_law",
     "save_spec",

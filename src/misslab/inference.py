@@ -198,7 +198,7 @@ def _t_quantile(df: float, p: float) -> float:
 class MetricsRecord:
     """Replicate-level evaluation of an estimand against its true value.
 
-    ``mse`` decomposes exactly as ``bias_sq + variance`` because the
+    ``mse`` equals ``bias_sq + variance`` exactly because the
     variance is taken around the replicate mean (no small-sample
     correction).
     """
@@ -221,8 +221,8 @@ def replicate_metrics(
     truth: float,
     estimand: str = "",
 ) -> MetricsRecord:
-    """Bias, coverage and decomposed MSE over replicate estimates and their
-    interval ends (one of each per replicate)."""
+    """Bias, coverage and MSE (``bias_sq + variance``) over replicate
+    estimates and their interval ends (one of each per replicate)."""
     q = np.asarray(estimates, dtype=float)
     if q.size == 0:
         raise ValueError("need at least one replicate")

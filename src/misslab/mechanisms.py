@@ -28,7 +28,7 @@ sign of indicator-indicator association where determinable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 from types import UnionType
@@ -88,6 +88,9 @@ class PredictorRef:
             raise SpecificationError(f"unknown predictor kind {self.kind!r}")
         if self.kind in ("data", "mask", "block") and self.index is None:
             raise SpecificationError(f"{self.kind} predictor needs an index")
+        for name in ("scale", "shift"):
+            if not np.isfinite(getattr(self, name)):
+                raise SpecificationError(f"predictor {name} must be finite")
 
 
 def data_col(j: int, scale: float = 1.0, shift: float = 0.0) -> PredictorRef:
@@ -117,6 +120,8 @@ class Comparison:
     def __post_init__(self):
         if self.op not in _OPS:
             raise SpecificationError(f"unknown comparison operator {self.op!r}")
+        if not np.isfinite(self.value):
+            raise SpecificationError("comparison value must be finite")
 
 
 Predicate = tuple[Comparison, ...]  # conjunction of comparisons
@@ -150,12 +155,6 @@ def _one_sign(signs: set[str]) -> str | None:
     return MIXED if len(signs) > 1 else next(iter(signs), None)
 
 
-def _map_pred(pred: Predicate | None, fn) -> Predicate | None:
-    if pred is None:
-        return None
-    return tuple(replace(c, ref=fn(c.ref)) for c in pred)
-
-
 @dataclass(frozen=True)
 class LogisticClause:
     tag: ClassVar[str] = "logistic"
@@ -173,9 +172,6 @@ class LogisticClause:
 
     def refs(self) -> list[PredictorRef]:
         return [ref for ref, _ in self.terms]
-
-    def map_refs(self, fn) -> "LogisticClause":
-        return replace(self, terms=tuple((fn(ref), coef) for ref, coef in self.terms))
 
     def apply(self, ctx: "_EvalContext", out: "_RuleOutcome") -> None:
         eta = np.full(ctx.n, self.intercept, dtype=float)
@@ -252,9 +248,6 @@ class TableClause:
     def refs(self) -> list[PredictorRef]:
         return list(self.parents)
 
-    def map_refs(self, fn) -> "TableClause":
-        return replace(self, parents=tuple(fn(ref) for ref in self.parents))
-
     def apply(self, ctx: "_EvalContext", out: "_RuleOutcome") -> None:
         # probs is sorted, so a configuration's binary code is its position.
         code = np.zeros(ctx.n, dtype=np.int64)
@@ -296,9 +289,6 @@ class _PredicateClause:
 
     def refs(self) -> list[PredictorRef]:
         return [cmp_.ref for cmp_ in self.when]
-
-    def map_refs(self, fn):
-        return replace(self, when=_map_pred(self.when, fn))
 
 
 def _comparison_sign(cmp_: Comparison, forced_value: int) -> str | None:
@@ -387,14 +377,6 @@ class MechanismRule:
         out.extend(cmp_.ref for cmp_ in self.subject_scope or ())
         return out
 
-    def map_refs(self, fn) -> "MechanismRule":
-        """This rule with every predictor reference replaced by ``fn(ref)``."""
-        return MechanismRule(
-            self.target,
-            tuple(c.map_refs(fn) for c in self.clauses),
-            _map_pred(self.subject_scope, fn),
-        )
-
 
 @dataclass(frozen=True)
 class LatentBlock:
@@ -432,13 +414,6 @@ class TaxonomyLabel:
             raise SpecificationError(f"bad determinism {self.determinism!r}")
         if self.structure == UNSTRUCTURED and self.shape != SHAPE_NONE:
             raise SpecificationError("unstructured mechanisms have no shape")
-
-    @property
-    def has_strong_component(self) -> bool:
-        """True if any relationship (data or indicator) is deterministic."""
-        return self.structure == STRONG or (
-            self.structure != UNSTRUCTURED and self.determinism == DETERMINISTIC
-        )
 
     def short(self) -> str:
         """Compact cell name, e.g. MCAR-U, MAR-UP, MNAR-SS.
@@ -522,7 +497,7 @@ class MechanismSpec:
         return default_names(self.p)
 
     def validate(self) -> None:
-        """Check reference ranges and acyclicity under the simulation order."""
+        """Check index ranges and acyclicity under the simulation order."""
         position = {j: k for k, j in enumerate(self.simulation_order)}
         for rule in self.rules:
             for ref in rule.refs():
@@ -552,6 +527,9 @@ class MechanismSpec:
                         f"rule for column {rule.target} references the subject "
                         "effect but none is declared"
                     )
+        for j in sorted(self.latent_columns):
+            if not (0 <= j < self.p):
+                raise SpecificationError(f"latent_columns: column {j} out of range")
         var = self.subject_effect_var
         if var is not None and not (np.isfinite(var) and var >= 0):
             raise SpecificationError(
@@ -649,7 +627,7 @@ def simulate_mask(
 
     Columns are visited in ``simulation_order``; the subject effects and
     latent block indicators are drawn first, once per row. One uniform is
-    consumed per cell regardless of forcing, so composing extra
+    consumed per cell regardless of forcing, so adding extra
     zero-probability clauses cannot shift the stream. Reproducible given
     the seed.
     """
@@ -824,98 +802,6 @@ def classify(spec: MechanismSpec) -> TaxonomyLabel:
         shape = SEQUENTIAL if forward and not block_coupled else BLOCK
 
     return TaxonomyLabel(data_dep, structure, shape, determinism, _one_sign(signs))
-
-
-# ---------------------------------------------------------------------------
-# Composition
-# ---------------------------------------------------------------------------
-
-
-def _toposort(p: int, deps: dict[int, set[int]]) -> tuple[int, ...]:
-    # Kahn's algorithm with smallest-index tie break (deterministic).
-    remaining = set(range(p))
-    order: list[int] = []
-    while remaining:
-        ready = sorted(j for j in remaining if not (deps[j] & remaining))
-        if not ready:
-            raise SpecificationError(
-                "composed indicator references are cyclic; no simulation order exists"
-            )
-        order.append(ready[0])
-        remaining.discard(ready[0])
-    return tuple(order)
-
-
-def _shared(values: list, conflict: str):
-    """The value the non-None entries of ``values`` agree on (None if all
-    are None); a disagreement raises SpecificationError(``conflict``)."""
-    given = [v for v in values if v is not None]
-    if any(v != given[0] for v in given[1:]):
-        raise SpecificationError(conflict)
-    return given[0] if given else None
-
-
-def compose(specs: Sequence[MechanismSpec]) -> MechanismSpec:
-    """Combine mechanisms column-wise.
-
-    A cell is missing if any component forces it or any component's
-    probabilistic rule fires (independent draws). Where clauses disagree,
-    logical beats force-to-1, which beats force-to-0, which beats the
-    probability, whatever the order of the components.
-    """
-    if not specs:
-        raise SpecificationError("need at least one spec to compose")
-    p = specs[0].p
-    if any(s.p != p for s in specs):
-        raise SpecificationError("specs must share dimensions")
-    temporal = _shared(
-        [s.temporal_order for s in specs], "specs declare conflicting temporal orders"
-    )
-    subject_var = _shared(
-        [s.subject_effect_var for s in specs],
-        "specs declare conflicting subject-effect variances",
-    )
-
-    blocks: list[LatentBlock] = []
-    merged: list[MechanismRule] = []
-    shifted_rules: list[list[MechanismRule]] = []
-    for s in specs:
-
-        def shift(ref: PredictorRef, offset: int = len(blocks)) -> PredictorRef:
-            return replace(ref, index=ref.index + offset) if ref.kind == "block" else ref
-
-        shifted_rules.append([rule.map_refs(shift) for rule in s.rules])
-        blocks.extend(s.blocks)
-    for j in range(p):
-        rules = [shifted[j] for shifted in shifted_rules]
-        scope = _shared(
-            [rule.subject_scope or None for rule in rules],
-            f"column {j}: conflicting subject scopes; compose the scoped clauses "
-            "explicitly instead",
-        )
-        merged.append(MechanismRule(j, tuple(c for r in rules for c in r.clauses), scope))
-
-    deps: dict[int, set[int]] = {j: set() for j in range(p)}
-    for rule in merged:
-        for ref in rule.refs():
-            if ref.kind == "mask":
-                deps[rule.target].add(ref.index)
-    order = specs[0].simulation_order
-    position = {j: k for k, j in enumerate(order)}
-    if any(position[d] >= position[j] for j in range(p) for d in deps[j]):
-        order = _toposort(p, deps)
-
-    names = next((s.col_names for s in specs if s.col_names is not None), None)
-    latent = frozenset().union(*(s.latent_columns for s in specs))
-    return MechanismSpec(
-        rules=tuple(merged),
-        simulation_order=order,
-        subject_effect_var=subject_var,
-        blocks=tuple(blocks),
-        latent_columns=latent,
-        temporal_order=temporal,
-        col_names=names,
-    )
 
 
 # ---------------------------------------------------------------------------

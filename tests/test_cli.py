@@ -119,6 +119,10 @@ class TestClassify:
         (_put(1.0, "rules", 2, "clauses", 0, "weight"),
          "rules[2].clauses[0]: unknown field 'weight'"),
         (_put(0.0, "rules", 0, "target"), "rules[0].target: expected an integer, got float"),
+        (_put([99], "latent_columns"), "latent_columns: column 99 out of range"),
+        (_put([-1], "latent_columns"), "latent_columns: column -1 out of range"),
+        (_put(float("nan"), "rules", 1, "clauses", 0, "terms", 0, 0, "scale"),
+         "predictor scale must be finite"),
     ])
     def test_malformed_spec_exits_one_naming_the_field(self, tmp_path, spec_file,
                                                        capsys, edit, message):

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -38,7 +39,6 @@ from misslab.mechanisms import (
     _EvalContext,
     block_ref,
     classify,
-    compose,
     data_col,
     dumps_spec,
     load_spec,
@@ -171,6 +171,21 @@ class TestSimulateMask:
             assert np.all(mask.bits[force1, rule.target] == 1)
             assert not force0.any()
 
+    def test_zero_probability_clause_is_identity(self):
+        # One uniform per cell: a rule that gains a zero-probability clause
+        # draws the same mask bits for the same seed.
+        def spec(extra):
+            return MechanismSpec(rules=(
+                MechanismRule(0, (TableClause.bernoulli(0.3),) + extra),
+                MechanismRule(1, (ForceClause((Comparison(data_col(0), ">", 0.8),), 1),
+                                  TableClause.bernoulli(0.2)) + extra),
+            ))
+
+        x = np.random.default_rng(2).normal(size=(3000, 2))
+        a = simulate_mask(spec(()), x, seed=3)
+        b = simulate_mask(spec((TableClause.bernoulli(0.0),)), x, seed=3)
+        assert np.array_equal(a.bits, b.bits)
+
     def test_logical_cells_flagged(self):
         spec = psa_logical_spec()
         x = np.column_stack(
@@ -198,20 +213,31 @@ def _reordered_spec() -> MechanismSpec:
 
 
 def _force_conflict(reverse: bool = False) -> MechanismSpec:
-    """unit_block (every column forced missing on a block of 0.4) composed
-    with a spec that forces every column observed on its own block of 0.5
-    and is otherwise Bernoulli 0.2. Both forces fire on about a fifth of
-    the rows; ``reverse`` composes the two the other way round."""
-    held = MechanismSpec(
-        rules=tuple(
-            MechanismRule(j, (ForceClause((Comparison(block_ref(0), "==", 1.0),), 0),
-                              TableClause.bernoulli(0.2)))
-            for j in range(3)
-        ),
-        blocks=(LatentBlock(0.5),),
+    """Every column forced missing on unit_block's block of 0.4, forced
+    observed on a block of 0.5 and otherwise Bernoulli 0.2. Both forces fire
+    on about a fifth of the rows; ``reverse`` lists the two blocks, and each
+    rule's clauses, the other way round."""
+    unit = builtin_structures("unit_block", p=3, rate=0.4)
+    blocks = unit.blocks + (LatentBlock(0.5),)
+    missing = (ForceClause.follows(block_ref(int(reverse))),)
+    held = (ForceClause((Comparison(block_ref(1 - int(reverse)), "==", 1.0),), 0),
+            TableClause.bernoulli(0.2))
+    clauses = held + missing if reverse else missing + held
+    return MechanismSpec(
+        rules=tuple(MechanismRule(j, clauses) for j in range(3)),
+        blocks=blocks[::-1] if reverse else blocks,
     )
-    parts = [builtin_structures("unit_block", p=3, rate=0.4), held]
-    return compose(parts[::-1] if reverse else parts)
+
+
+def _ws_seq_with_ss_block(p: int) -> MechanismSpec:
+    """Each column takes mcar_ws_seq's clauses followed by mcar_ss_block's,
+    on mcar_ss_block's latent block."""
+    seq, block = builtin_structures("mcar_ws_seq", p), builtin_structures("mcar_ss_block", p)
+    return MechanismSpec(
+        rules=tuple(MechanismRule(a.target, a.clauses + b.clauses)
+                    for a, b in zip(seq.rules, block.rules)),
+        blocks=block.blocks,
+    )
 
 
 def _law_cases() -> dict[str, MechanismSpec]:
@@ -222,9 +248,7 @@ def _law_cases() -> dict[str, MechanismSpec]:
     }
     fixtures = canonical_taxonomy_specs()
     cases.update((name, fixtures[name]) for name in ("MCAR-U", "MCAR-WS", "MCAR-SS"))
-    cases["compose-ws_seq-ss_block"] = compose(
-        [builtin_structures("mcar_ws_seq", 5), builtin_structures("mcar_ss_block", 5)]
-    )
+    cases["ws_seq-with-ss_block"] = _ws_seq_with_ss_block(5)
     cases["simulation-order"] = _reordered_spec()
     cases["force-conflict"] = _force_conflict()
     cases["force-conflict-reversed"] = _force_conflict(reverse=True)
@@ -286,14 +310,39 @@ class TestMaskLaw:
         patterns, probs = mask_law(builtin_structures("unit_block", p=4, rate=0.0))
         assert patterns.tolist() == [[0] * 4] and probs.tolist() == [1.0]
 
-    def test_compose_precedence_ignores_component_order(self):
-        # Force-to-1 beats force-to-0 beats the probability, whichever
-        # component's clauses come first: each column is missing with
+    def test_hard_cases_match_golden_digests(self):
+        # The dumps_spec text of the hand-written hard cases, pinned.
+        digests = {
+            name: hashlib.sha256(dumps_spec(LAW_CASES[name]).encode()).hexdigest()
+            for name in ("ws_seq-with-ss_block", "force-conflict", "force-conflict-reversed")
+        }
+        assert digests == {
+            "ws_seq-with-ss_block":
+                "4cf6ab1ecf7a5a99772de9e4cd0f7846bb9bd7a5826914453ebbba941de730bd",
+            "force-conflict":
+                "243ee5cd5a35ea4d70c11c23a7d7346f6a98fc16e2156bbb74018eaf14cecda5",
+            "force-conflict-reversed":
+                "2ae9f636add7d80b1a6b44671567a36664c57945d43e5f89077fca67cdeeb4ed",
+        }
+
+    def test_force_precedence_ignores_clause_order(self):
+        # Force-to-1 beats force-to-0 beats the probability, whatever the
+        # order of the clauses within a rule: each column is missing with
         # probability 0.4 + 0.6 * 0.5 * 0.2.
         ahead, behind = mask_law(_force_conflict()), mask_law(_force_conflict(reverse=True))
         assert np.array_equal(ahead[0], behind[0])
         assert np.allclose(ahead[1], behind[1], rtol=1e-12, atol=0.0)
         assert np.allclose(ahead[0].T @ ahead[1], 0.46, rtol=1e-12, atol=0.0)
+
+    def test_independent_clauses_multiply(self):
+        # Two Bernoulli(0.5) clauses in one rule fire as independent
+        # triggers: the cell is observed with probability 0.5 * 0.5.
+        spec = MechanismSpec(rules=(
+            MechanismRule(0, (TableClause.bernoulli(0.5), TableClause.bernoulli(0.5))),
+        ))
+        patterns, probs = mask_law(spec)
+        assert patterns.tolist() == [[0], [1]]
+        assert probs.tolist() == [0.25, 0.75]
 
     def test_row_dependent_specs_rejected(self):
         with pytest.raises(SpecificationError, match="column 1 reads data column 0"):
@@ -342,106 +391,41 @@ class TestClassify:
             spec = fixture()
             assert classify(spec) == spec.declared_label, fixture.__name__
 
-    def test_mixture_label_flags_strong_component(self):
-        label = TaxonomyLabel("MAR", "weak", "sequential", "deterministic")
-        assert label.short() == "MAR-WS/SS"
-        assert label.has_strong_component
-
-
-def _permute_columns(spec: MechanismSpec, perm):
-    """Relabel columns consistently across rules and orders."""
-
-    def fix_ref(ref: PredictorRef) -> PredictorRef:
-        if ref.kind in ("data", "mask"):
-            return dataclasses.replace(ref, index=perm[ref.index])
-        return ref
-
-    rules = [
-        dataclasses.replace(rule.map_refs(fix_ref), target=perm[rule.target])
-        for rule in spec.rules
-    ]
-    order = [0] * spec.p
-    for pos, j in enumerate(spec.simulation_order):
-        order[pos] = perm[j]
-    temporal = None
-    if spec.temporal_order is not None:
-        temporal = tuple(perm[j] for j in spec.temporal_order)
-    else:
-        temporal = tuple(perm[j] for j in range(spec.p))
-    return MechanismSpec(
-        rules=tuple(sorted(rules, key=lambda r: r.target)),
-        simulation_order=tuple(order),
-        subject_effect_var=spec.subject_effect_var,
-        blocks=spec.blocks,
-        latent_columns=frozenset(perm[j] for j in spec.latent_columns),
-        temporal_order=temporal,
-    )
-
-
-class TestCompose:
-    def _age_force(self):
-        rules = (
-            MechanismRule(0, (TableClause.bernoulli(0.0),)),
-            MechanismRule(1, (ForceClause((Comparison(data_col(0), ">", 0.8),), 1),)),
-        )
-        return MechanismSpec(rules=rules)
-
-    def test_zero_probability_component_is_identity(self):
-        x = np.random.default_rng(2).normal(size=(3000, 2))
-        base = self._age_force()
-        combined = compose([base, bern_spec([0.0, 0.0])])
-        a = simulate_mask(base, x, seed=3)
-        b = simulate_mask(combined, x, seed=3)
-        assert np.array_equal(a.bits, b.bits)
-
-    def test_independent_unions_multiply(self):
-        x = np.zeros((200_000, 1))
-        spec = compose([bern_spec([0.5]), bern_spec([0.5])])
-        mask = simulate_mask(spec, x, seed=4)
-        rate = mask.overall_rate()
-        se = math.sqrt(0.75 * 0.25 / x.shape[0])
-        assert abs(rate - 0.75) < 3 * se
-
     def test_weak_plus_data_deterministic_flags_strong(self):
-        # Indicator chain (weak) unioned with a deterministic data rule.
-        mm = MechanismSpec(rules=(
+        # An indicator chain (weak) whose second column is also forced
+        # missing by a data predicate.
+        spec = MechanismSpec(rules=(
             MechanismRule(0, (TableClause.bernoulli(0.2),)),
-            MechanismRule(1, (TableClause.from_dict((mask_col(0),), {(0,): 0.1, (1,): 0.6}),)),
+            MechanismRule(1, (TableClause.from_dict((mask_col(0),), {(0,): 0.1, (1,): 0.6}),
+                              ForceClause((Comparison(data_col(0), ">", 0.8),), 1))),
         ))
-        combined = compose([mm, self._age_force()])
-        label = classify(combined)
+        label = classify(spec)
         assert label.data_dependence == "MAR"
         assert label.structure == "weak"
         assert label.determinism == "deterministic"
-        assert label.has_strong_component
         assert label.short() == "MAR-WS/SS"
 
-    def test_conflicting_dimensions_rejected(self):
-        with pytest.raises(SpecificationError, match="share dimensions"):
-            compose([bern_spec([0.1]), bern_spec([0.1, 0.2])])
+    def test_mixture_label_flags_strong_component(self):
+        label = TaxonomyLabel("MAR", "weak", "sequential", "deterministic")
+        assert label.short() == "MAR-WS/SS"
 
-    def test_cyclic_union_rejected(self):
-        fwd = MechanismSpec(rules=(
-            MechanismRule(0, (TableClause.bernoulli(0.1),)),
-            MechanismRule(1, (TableClause.from_dict((mask_col(0),), {(0,): 0.1, (1,): 0.9}),)),
-        ))
-        bwd = MechanismSpec(rules=(
-            MechanismRule(0, (TableClause.from_dict((mask_col(1),), {(0,): 0.1, (1,): 0.9}),)),
-            MechanismRule(1, (TableClause.bernoulli(0.1),)),
-        ), simulation_order=(1, 0))
-        with pytest.raises(SpecificationError, match="cyclic"):
-            compose([fwd, bwd])
 
-    def test_block_indices_shift(self):
-        blocky = MechanismSpec(
-            rules=(MechanismRule(0, (TableClause.from_dict(
-                (PredictorRef("block", 0),), {(0,): 0.0, (1,): 1.0}),)),),
-            blocks=(LatentBlock(0.5),),
-        )
-        combined = compose([blocky, blocky])
-        assert len(combined.blocks) == 2
-        refs = [r for rule in combined.rules for r in rule.refs() if r.kind == "block"]
-        assert sorted(r.index for r in refs) == [0, 1]
+def _permute_columns(spec: MechanismSpec, perm):
+    """Relabel columns consistently across rules and orders: old column j
+    becomes column perm[j] in every index, target and order of the spec's
+    JSON."""
+    obj = json.loads(dumps_spec(spec))
+    for path in list(_json_paths(obj)):
+        node = _json_node(obj, path)
+        if isinstance(node, dict) and node.get("kind") in ("data", "mask"):
+            node["index"] = perm[node["index"]]
+        if path[:1] == ("rules",) and len(path) == 2:
+            node["target"] = perm[node["target"]]
+    temporal = obj["temporal_order"] or range(spec.p)
+    obj["temporal_order"] = [perm[j] for j in temporal]
+    for key in ("simulation_order", "latent_columns"):
+        obj[key] = [perm[j] for j in obj[key]]
+    return loads_spec(json.dumps(obj))
 
 
 def every_fixture_spec() -> list[MechanismSpec]:
@@ -513,6 +497,14 @@ class TestValidation:
             MechanismSpec(rules=(
                 MechanismRule(0, (LogisticClause(0.0, ((subject_effect(), 1.0),)),)),
             ))
+
+    def test_nonfinite_numbers_rejected(self):
+        with pytest.raises(SpecificationError, match="comparison value must be finite"):
+            Comparison(mask_col(0), "==", float("nan"))
+        with pytest.raises(SpecificationError, match="predictor scale must be finite"):
+            data_col(0, scale=float("inf"))
+        with pytest.raises(SpecificationError, match="predictor shift must be finite"):
+            data_col(0, shift=float("nan"))
 
     def test_undeclared_block_rejected(self):
         with pytest.raises(SpecificationError, match="undeclared"):
@@ -607,6 +599,12 @@ def _json_paths(obj, path=()):
         yield from _json_paths(child, path + (key,))
 
 
+def _json_node(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
 # Every key some spec object may hold.
 _SPEC_KEYS = {"type", "columns"} | {
     f.name for cls in (PredictorRef, Comparison, LogisticClause, TableClause, ForceClause,
@@ -677,9 +675,7 @@ class TestSpecProperties:
         if not path:
             obj = data.draw(_json_values)
         else:
-            parent = obj
-            for key in path[:-1]:
-                parent = parent[key]
+            parent = _json_node(obj, path[:-1])
             if isinstance(parent, dict) and data.draw(st.booleans()):
                 del parent[path[-1]]
             else:
@@ -698,9 +694,7 @@ class TestSpecProperties:
         obj = json.loads(dumps_spec(spec))
         nodes = {}
         for path in _json_paths(obj):
-            node = obj
-            for key in path:
-                node = node[key]
+            node = _json_node(obj, path)
             if isinstance(node, dict):
                 nodes[path] = node
         path = data.draw(st.sampled_from(list(nodes)))
