@@ -40,8 +40,13 @@ from .mechanisms import (
 )
 
 
-def _bern(j: int, rate: float) -> MechanismRule:
-    return MechanismRule(j, (TableClause.bernoulli(rate),))
+def _spec(label: TaxonomyLabel, *clauses, **fields) -> MechanismSpec:
+    """A spec declaring ``label`` whose column j takes the j-th clause tuple."""
+    rules = tuple(MechanismRule(j, c) for j, c in enumerate(clauses))
+    return MechanismSpec(rules=rules, declared_label=label, **fields)
+
+
+_OBSERVED = (TableClause.bernoulli(0.0),)  # a column that is never missing
 
 
 def sim2_label(q: float) -> TaxonomyLabel:
@@ -52,7 +57,8 @@ def sim2_label(q: float) -> TaxonomyLabel:
     return TaxonomyLabel(MAR, structure, SEQUENTIAL, PROBABILISTIC, NEGATIVE)
 
 
-def _study_spec(q: float, missing_given_missing: float, **fields) -> MechanismSpec:
+def _study_spec(label: TaxonomyLabel, q: float, missing_given_missing: float,
+                **fields) -> MechanismSpec:
     """The three rules the inference studies share: the first column stays
     complete, the second goes missing through a logistic effect of the
     first's value, and the third goes missing with probability ``q`` when
@@ -61,12 +67,8 @@ def _study_spec(q: float, missing_given_missing: float, **fields) -> MechanismSp
     if not (0.0 <= q <= 1.0):
         raise ValueError("q must lie in [0, 1]")
     table = {(0,): q, (1,): missing_given_missing}
-    rules = (
-        _bern(0, 0.0),
-        MechanismRule(1, (LogisticClause(0.0, ((data_col(0), 2.0),)),)),
-        MechanismRule(2, (TableClause.from_dict((mask_col(1),), table),)),
-    )
-    return MechanismSpec(rules=rules, **fields)
+    return _spec(label, _OBSERVED, (LogisticClause(0.0, ((data_col(0), 2.0),)),),
+                 (TableClause.from_dict((mask_col(1),), table),), **fields)
 
 
 def sim2_spec(q: float) -> MechanismSpec:
@@ -77,8 +79,7 @@ def sim2_spec(q: float) -> MechanismSpec:
     X2 is observed, never when X2 is missing. At q=1 the last two columns
     are never jointly observed (a file-matching pattern).
     """
-    return _study_spec(q, 0.0, declared_label=sim2_label(q),
-                       col_names=("X1", "X2", "X3"))
+    return _study_spec(sim2_label(q), q, 0.0, col_names=("X1", "X2", "X3"))
 
 
 def sim3_label(q: float) -> TaxonomyLabel:
@@ -103,132 +104,45 @@ def sim3_spec(q: float) -> MechanismSpec:
     analyst): X1 goes missing through a logistic effect of z, X2 through a
     table on X1's indicator (1/2 if missing, ``q`` if observed).
     """
-    return _study_spec(q, 0.5, latent_columns=frozenset({0}),
-                       declared_label=sim3_label(q), col_names=("Z", "X1", "X2"))
+    return _study_spec(sim3_label(q), q, 0.5, latent_columns=frozenset({0}),
+                       col_names=("Z", "X1", "X2"))
 
 
 def canonical_taxonomy_specs() -> dict[str, MechanismSpec]:
-    """One three-column spec per taxonomy cell, labels declared."""
-    specs: dict[str, MechanismSpec] = {}
-
-    specs["MCAR-U"] = MechanismSpec(
-        rules=tuple(_bern(j, 0.3) for j in range(3)),
-        declared_label=TaxonomyLabel(MCAR, UNSTRUCTURED, SHAPE_NONE, PROBABILISTIC),
+    """One three-column spec per taxonomy cell, keyed by the short name of
+    the label it declares."""
+    rate10, rate20 = (TableClause.bernoulli(0.1),), (TableClause.bernoulli(0.2),)
+    rate30 = (TableClause.bernoulli(0.3),)
+    batch = (TableClause.from_dict((block_ref(0),), {(0,): 0.1, (1,): 0.6}),)
+    on_first = (LogisticClause(-1.0, ((data_col(0), 1.0),)),)
+    on_own = (LogisticClause(0.0, ((data_col(1), 1.0),)),)
+    own_low = (ForceClause((Comparison(data_col(1), "<", -0.5),), 1),)
+    follows = (ForceClause.follows(mask_col(1)),)
+    specs = (
+        _spec(TaxonomyLabel(MCAR, UNSTRUCTURED, SHAPE_NONE, PROBABILISTIC), *[rate30] * 3),
+        _spec(TaxonomyLabel(MCAR, WEAK, BLOCK, PROBABILISTIC, POSITIVE), *[batch] * 3,
+              blocks=(LatentBlock(0.4),)),
+        _spec(TaxonomyLabel(MCAR, STRONG, SEQUENTIAL, PROBABILISTIC, POSITIVE), rate30,
+              *[(ForceClause.follows(mask_col(j - 1)), TableClause.bernoulli(0.1))
+                for j in (1, 2)]),
+        _spec(TaxonomyLabel(MAR, UNSTRUCTURED, SHAPE_NONE, PROBABILISTIC), rate10, on_first,
+              (LogisticClause(-1.0, ((data_col(0), 0.5),)),)),
+        _spec(TaxonomyLabel(MAR, UNSTRUCTURED, SHAPE_NONE, DETERMINISTIC), rate10,
+              (ForceClause((Comparison(data_col(0), ">", 1.0),), 1),), rate20),
+        _spec(TaxonomyLabel(MAR, WEAK, SEQUENTIAL, PROBABILISTIC, POSITIVE), rate10, on_first,
+              (LogisticClause(-1.0, ((data_col(0), 0.5), (mask_col(1), 1.5))),)),
+        _spec(TaxonomyLabel(MAR, STRONG, SEQUENTIAL, DETERMINISTIC, POSITIVE), rate10,
+              (ForceClause((Comparison(data_col(0), ">=", 0.8),), 1),), follows),
+        _spec(TaxonomyLabel(MNAR, UNSTRUCTURED, SHAPE_NONE, PROBABILISTIC), rate10,
+              on_own, rate20),
+        _spec(TaxonomyLabel(MNAR, UNSTRUCTURED, SHAPE_NONE, DETERMINISTIC), rate10,
+              own_low, rate20),
+        _spec(TaxonomyLabel(MNAR, WEAK, SEQUENTIAL, PROBABILISTIC, POSITIVE), rate10, on_own,
+              (LogisticClause(-1.0, ((data_col(2), 0.5), (mask_col(1), 1.0))),)),
+        _spec(TaxonomyLabel(MNAR, STRONG, SEQUENTIAL, DETERMINISTIC, POSITIVE), rate10,
+              own_low, follows),
     )
-
-    batch = TableClause.from_dict((block_ref(0),), {(0,): 0.1, (1,): 0.6})
-    specs["MCAR-WS"] = MechanismSpec(
-        rules=tuple(MechanismRule(j, (batch,)) for j in range(3)),
-        blocks=(LatentBlock(0.4),),
-        declared_label=TaxonomyLabel(MCAR, WEAK, BLOCK, PROBABILISTIC, POSITIVE),
-    )
-
-    specs["MCAR-SS"] = MechanismSpec(
-        rules=(_bern(0, 0.3),) + tuple(
-            MechanismRule(j, (ForceClause.follows(mask_col(j - 1)),
-                              TableClause.bernoulli(0.1)))
-            for j in (1, 2)
-        ),
-        declared_label=TaxonomyLabel(MCAR, STRONG, SEQUENTIAL, PROBABILISTIC,
-                                     POSITIVE),
-    )
-
-    specs["MAR-UP"] = MechanismSpec(
-        rules=(
-            _bern(0, 0.1),
-            MechanismRule(1, (LogisticClause(-1.0, ((data_col(0), 1.0),)),)),
-            MechanismRule(2, (LogisticClause(-1.0, ((data_col(0), 0.5),)),)),
-        ),
-        declared_label=TaxonomyLabel(MAR, UNSTRUCTURED, SHAPE_NONE, PROBABILISTIC),
-    )
-
-    specs["MAR-UD"] = MechanismSpec(
-        rules=(
-            _bern(0, 0.1),
-            MechanismRule(1, (ForceClause((Comparison(data_col(0), ">", 1.0),), 1),)),
-            _bern(2, 0.2),
-        ),
-        declared_label=TaxonomyLabel(MAR, UNSTRUCTURED, SHAPE_NONE, DETERMINISTIC),
-    )
-
-    specs["MAR-WS"] = MechanismSpec(
-        rules=(
-            _bern(0, 0.1),
-            MechanismRule(1, (LogisticClause(-1.0, ((data_col(0), 1.0),)),)),
-            MechanismRule(
-                2,
-                (
-                    LogisticClause(
-                        -1.0, ((data_col(0), 0.5), (mask_col(1), 1.5))
-                    ),
-                ),
-            ),
-        ),
-        declared_label=TaxonomyLabel(MAR, WEAK, SEQUENTIAL, PROBABILISTIC, POSITIVE),
-    )
-
-    specs["MAR-SS"] = MechanismSpec(
-        rules=(
-            _bern(0, 0.1),
-            MechanismRule(
-                1, (ForceClause((Comparison(data_col(0), ">=", 0.8),), 1),)
-            ),
-            MechanismRule(2, (ForceClause.follows(mask_col(1)),)),
-        ),
-        declared_label=TaxonomyLabel(MAR, STRONG, SEQUENTIAL, DETERMINISTIC,
-                                     POSITIVE),
-    )
-
-    specs["MNAR-UP"] = MechanismSpec(
-        rules=(
-            _bern(0, 0.1),
-            MechanismRule(1, (LogisticClause(0.0, ((data_col(1), 1.0),)),)),
-            _bern(2, 0.2),
-        ),
-        declared_label=TaxonomyLabel(MNAR, UNSTRUCTURED, SHAPE_NONE, PROBABILISTIC),
-    )
-
-    specs["MNAR-UD"] = MechanismSpec(
-        rules=(
-            _bern(0, 0.1),
-            MechanismRule(
-                1, (ForceClause((Comparison(data_col(1), "<", -0.5),), 1),)
-            ),
-            _bern(2, 0.2),
-        ),
-        declared_label=TaxonomyLabel(MNAR, UNSTRUCTURED, SHAPE_NONE, DETERMINISTIC),
-    )
-
-    specs["MNAR-WS"] = MechanismSpec(
-        rules=(
-            _bern(0, 0.1),
-            MechanismRule(1, (LogisticClause(0.0, ((data_col(1), 1.0),)),)),
-            MechanismRule(
-                2,
-                (
-                    LogisticClause(
-                        -1.0, ((data_col(2), 0.5), (mask_col(1), 1.0))
-                    ),
-                ),
-            ),
-        ),
-        declared_label=TaxonomyLabel(MNAR, WEAK, SEQUENTIAL, PROBABILISTIC,
-                                     POSITIVE),
-    )
-
-    specs["MNAR-SS"] = MechanismSpec(
-        rules=(
-            _bern(0, 0.1),
-            MechanismRule(
-                1, (ForceClause((Comparison(data_col(1), "<", -0.5),), 1),)
-            ),
-            MechanismRule(2, (ForceClause.follows(mask_col(1)),)),
-        ),
-        declared_label=TaxonomyLabel(MNAR, STRONG, SEQUENTIAL, DETERMINISTIC,
-                                     POSITIVE),
-    )
-
-    return specs
+    return {spec.declared_label.short(): spec for spec in specs}
 
 
 def subject_effect_variant() -> MechanismSpec:
@@ -238,15 +152,9 @@ def subject_effect_variant() -> MechanismSpec:
     Still classifies as the unstructured completely-at-random cell — the
     subject effect is unrelated to anything observed.
     """
-    rules = tuple(
-        MechanismRule(j, (LogisticClause(-1.0, ((subject_effect(), 1.0),)),))
-        for j in range(3)
-    )
-    return MechanismSpec(
-        rules=rules,
-        subject_effect_var=1.0,
-        declared_label=TaxonomyLabel(MCAR, UNSTRUCTURED, SHAPE_NONE, PROBABILISTIC),
-    )
+    return _spec(TaxonomyLabel(MCAR, UNSTRUCTURED, SHAPE_NONE, PROBABILISTIC),
+                 *[(LogisticClause(-1.0, ((subject_effect(), 1.0),)),)] * 3,
+                 subject_effect_var=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -261,20 +169,10 @@ def psa_logical_spec() -> MechanismSpec:
     at-random mechanism, and logical missingness — the cells have no value
     to impute.
     """
-    names = ("SEX", "YEAR_OF_BIRTH", "PSA1", "PSA2", "PSA3")
-    female = (Comparison(data_col(0), "==", 1.0),)
-    rules = (
-        _bern(0, 0.0),
-        _bern(1, 0.0),
-        MechanismRule(2, (LogicalClause(female),)),
-        MechanismRule(3, (LogicalClause(female),)),
-        MechanismRule(4, (LogicalClause(female),)),
-    )
-    return MechanismSpec(
-        rules=rules,
-        col_names=names,
-        declared_label=TaxonomyLabel(MAR, UNSTRUCTURED, SHAPE_NONE, DETERMINISTIC),
-    )
+    female = (LogicalClause((Comparison(data_col(0), "==", 1.0),)),)
+    return _spec(TaxonomyLabel(MAR, UNSTRUCTURED, SHAPE_NONE, DETERMINISTIC),
+                 _OBSERVED, _OBSERVED, *[female] * 3,
+                 col_names=("SEX", "YEAR_OF_BIRTH", "PSA1", "PSA2", "PSA3"))
 
 
 def psa_screening_spec() -> MechanismSpec:
@@ -284,20 +182,11 @@ def psa_screening_spec() -> MechanismSpec:
     observed at one visit lowers the chance of repeating it at the next —
     a negative, sequential, weakly structured at-random mechanism.
     """
-    names = ("YEAR_OF_BIRTH", "BRCA", "PSA1", "PSA2", "PSA3")
     risk = ((data_col(0), 0.02), (data_col(1), -1.0))
-    rules = (
-        _bern(0, 0.0),
-        _bern(1, 0.0),
-        MechanismRule(2, (LogisticClause(0.5, risk),)),
-        MechanismRule(3, (LogisticClause(0.5, risk + ((mask_col(2), -1.5),)),)),
-        MechanismRule(4, (LogisticClause(0.5, risk + ((mask_col(3), -1.5),)),)),
-    )
-    return MechanismSpec(
-        rules=rules,
-        col_names=names,
-        declared_label=TaxonomyLabel(MAR, WEAK, SEQUENTIAL, PROBABILISTIC, NEGATIVE),
-    )
+    return _spec(TaxonomyLabel(MAR, WEAK, SEQUENTIAL, PROBABILISTIC, NEGATIVE),
+                 _OBSERVED, _OBSERVED, (LogisticClause(0.5, risk),),
+                 *[(LogisticClause(0.5, risk + ((mask_col(j - 1), -1.5),)),) for j in (3, 4)],
+                 col_names=("YEAR_OF_BIRTH", "BRCA", "PSA1", "PSA2", "PSA3"))
 
 
 def genomic_testing_spec() -> MechanismSpec:
@@ -307,19 +196,8 @@ def genomic_testing_spec() -> MechanismSpec:
     panel then implies missing gene calls with certainty, so the auxiliary
     panel column introduces strong structure over the gene indicators.
     """
-    names = ("CANCER_TYPE", "DATE", "GENOMIC_TEST", "BCL10", "CASP8")
-    rules = (
-        _bern(0, 0.0),
-        _bern(1, 0.0),
-        MechanismRule(
-            2, (LogisticClause(-1.0, ((data_col(0), 0.8), (data_col(1), 0.3))),)
-        ),
-        MechanismRule(3, (ForceClause.follows(mask_col(2)),)),
-        MechanismRule(4, (ForceClause.follows(mask_col(2)),)),
-    )
-    return MechanismSpec(
-        rules=rules,
-        col_names=names,
-        declared_label=TaxonomyLabel(MAR, STRONG, SEQUENTIAL, PROBABILISTIC,
-                                     POSITIVE),
-    )
+    return _spec(TaxonomyLabel(MAR, STRONG, SEQUENTIAL, PROBABILISTIC, POSITIVE),
+                 _OBSERVED, _OBSERVED,
+                 (LogisticClause(-1.0, ((data_col(0), 0.8), (data_col(1), 0.3))),),
+                 *[(ForceClause.follows(mask_col(2)),)] * 2,
+                 col_names=("CANCER_TYPE", "DATE", "GENOMIC_TEST", "BCL10", "CASP8"))

@@ -2,8 +2,8 @@
 
 A :class:`MechanismSpec` assigns one :class:`MechanismRule` per column. A
 rule is a bundle of clauses over predictors (data columns, other columns'
-missingness indicators, shared latent block indicators, a per-subject random
-effect, constants):
+missingness indicators, shared latent block indicators and a per-subject
+random effect):
 
 * ``LogisticClause`` — probability through a logistic link;
 * ``TableClause`` — probabilities keyed by binary parent configurations
@@ -27,6 +27,7 @@ sign of indicator-indicator association where determinable.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cache
@@ -73,28 +74,22 @@ class PredictorRef:
     """Reference to a quantity a rule may condition on.
 
     kind: "data" (column of X), "mask" (another column's indicator),
-    "block" (latent block indicator), "subject" (row random effect) or
-    "constant". ``scale``/``shift`` apply an affine transform to the raw
-    value before use.
+    "block" (latent block indicator) or "subject" (row random effect, the
+    one kind without an index).
     """
 
     kind: str
     index: int | None = None
-    scale: float = 1.0
-    shift: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("data", "mask", "block", "subject", "constant"):
+        if self.kind not in ("data", "mask", "block", "subject"):
             raise SpecificationError(f"unknown predictor kind {self.kind!r}")
-        if self.kind in ("data", "mask", "block") and self.index is None:
+        if self.kind != "subject" and self.index is None:
             raise SpecificationError(f"{self.kind} predictor needs an index")
-        for name in ("scale", "shift"):
-            if not np.isfinite(getattr(self, name)):
-                raise SpecificationError(f"predictor {name} must be finite")
 
 
-def data_col(j: int, scale: float = 1.0, shift: float = 0.0) -> PredictorRef:
-    return PredictorRef("data", j, scale, shift)
+def data_col(j: int) -> PredictorRef:
+    return PredictorRef("data", j)
 
 
 def mask_col(j: int) -> PredictorRef:
@@ -111,7 +106,7 @@ def subject_effect() -> PredictorRef:
 
 @dataclass(frozen=True)
 class Comparison:
-    """Atomic predicate ``ref <op> value`` (after the ref's affine transform)."""
+    """Atomic predicate ``ref <op> value``."""
 
     ref: PredictorRef
     op: str
@@ -188,10 +183,10 @@ class LogisticClause:
     def edges(self, target: int) -> list[_Dependence]:
         return [
             _edge(ref, target, False,
-                  (POSITIVE if coef * ref.scale > 0 else NEGATIVE)
+                  (POSITIVE if coef > 0 else NEGATIVE)
                   if ref.kind in ("mask", "block") else None)
             for ref, coef in self.terms
-            if coef * ref.scale != 0.0 and ref.kind != "constant"
+            if coef != 0.0
         ]
 
 
@@ -215,15 +210,8 @@ class TableClause:
         for ref in self.parents:
             if ref.kind not in ("mask", "block"):
                 raise SpecificationError("table parents must be mask or block refs")
-        keys = {k for k, _ in self.probs}
-        if self.parents:
-            want = {
-                tuple(int(b) for b in np.binary_repr(i, len(self.parents)))
-                for i in range(2 ** len(self.parents))
-            }
-        else:
-            want = {tuple()}
-        if keys != want or len(self.probs) != len(want):
+        want = set(itertools.product((0, 1), repeat=len(self.parents)))
+        if {k for k, _ in self.probs} != want or len(self.probs) != len(want):
             raise SpecificationError(
                 "table must assign a probability to every parent configuration"
             )
@@ -241,9 +229,6 @@ class TableClause:
     @classmethod
     def bernoulli(cls, rate: float) -> "TableClause":
         return cls((), (((), float(rate)),))
-
-    def prob_map(self) -> dict[tuple[int, ...], float]:
-        return dict(self.probs)
 
     def refs(self) -> list[PredictorRef]:
         return list(self.parents)
@@ -265,7 +250,7 @@ class TableClause:
 
     def _parent_effect(self, pos: int):
         """(varies, reaches_one, sign) for the ``pos``-th parent."""
-        probs = self.prob_map()
+        probs = dict(self.probs)
         reaches_one = False
         signs: set[str] = set()
         for key, p1 in probs.items():
@@ -332,13 +317,10 @@ class ForceClause(_PredicateClause):
         out.forced[self.value] |= ctx.predicate(self.when) & out.scope
 
     def edges(self, target: int) -> list[_Dependence]:
-        return [
-            _edge(cmp_.ref, target, True,
-                  _comparison_sign(cmp_, self.value)
-                  if cmp_.ref.kind in ("mask", "block") else None)
-            for cmp_ in self.when
-            if cmp_.ref.kind != "constant"
-        ]
+        return [_edge(cmp_.ref, target, True,
+                      _comparison_sign(cmp_, self.value)
+                      if cmp_.ref.kind in ("mask", "block") else None)
+                for cmp_ in self.when]
 
 
 @dataclass(frozen=True)
@@ -412,8 +394,12 @@ class TaxonomyLabel:
             raise SpecificationError(f"bad shape {self.shape!r}")
         if self.determinism not in (PROBABILISTIC, DETERMINISTIC):
             raise SpecificationError(f"bad determinism {self.determinism!r}")
+        if self.sign not in (None, POSITIVE, NEGATIVE, MIXED):
+            raise SpecificationError(f"bad sign {self.sign!r}")
         if self.structure == UNSTRUCTURED and self.shape != SHAPE_NONE:
             raise SpecificationError("unstructured mechanisms have no shape")
+        if self.structure == UNSTRUCTURED and self.sign is not None:
+            raise SpecificationError("unstructured mechanisms have no sign")
 
     def short(self) -> str:
         """Compact cell name, e.g. MCAR-U, MAR-UP, MNAR-SS.
@@ -477,6 +463,11 @@ class MechanismSpec:
         if self.col_names is not None:
             if len(self.col_names) != p:
                 raise SpecificationError("need one column name per column")
+            if not all(self.col_names):
+                raise SpecificationError("columns: every column needs a name")
+            if len(set(self.col_names)) < p:
+                twice = sorted({c for c in self.col_names if self.col_names.count(c) > 1})
+                raise SpecificationError(f"columns: duplicate column names {twice}")
             object.__setattr__(self, "col_names", tuple(self.col_names))
         self.validate()
 
@@ -563,18 +554,12 @@ class _EvalContext:
 
     def resolve(self, ref: PredictorRef) -> np.ndarray:
         if ref.kind == "data":
-            raw = self.values[:, ref.index]
-        elif ref.kind == "mask":
-            raw = self.mask[:, ref.index].astype(float)
-        elif ref.kind == "block":
-            raw = self.blocks[ref.index].astype(float)
-        elif ref.kind == "subject":
-            raw = self.subj
-        else:
-            raw = np.ones(self.n)
-        if ref.scale == 1.0 and ref.shift == 0.0:
-            return raw
-        return ref.scale * raw + ref.shift
+            return self.values[:, ref.index]
+        if ref.kind == "mask":
+            return self.mask[:, ref.index].astype(float)
+        if ref.kind == "block":
+            return self.blocks[ref.index].astype(float)
+        return self.subj
 
     def predicate(self, pred: Predicate) -> np.ndarray:
         out = np.ones(self.n, dtype=bool)
@@ -600,12 +585,14 @@ class _RuleOutcome:
 
 def rule_probabilities(
     rule: MechanismRule, ctx: _EvalContext
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row missingness probability and forcing state for one rule.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row missingness probability of one rule, and its logical rows.
 
-    Returns ``(prob, force1, force0, logical)``. Probabilistic clauses
-    combine as independent triggers; forced-missing beats forced-observed
-    beats probability.
+    Returns ``(prob, logical)``. Probabilistic clauses combine as
+    independent triggers. Forcing is folded into ``prob``, the one place
+    that states its precedence: a logical or forced-missing row has
+    probability 1, which beats forced-observed (0), which beats the
+    clauses' probability.
     """
     scope = (
         ctx.predicate(rule.subject_scope)
@@ -615,7 +602,9 @@ def rule_probabilities(
     out = _RuleOutcome(rule.target, ctx.n, scope)
     for clause in rule.clauses:
         clause.apply(ctx, out)
-    return out.prob, out.forced[1], out.forced[0], out.logical
+    out.prob[out.forced[0]] = 0.0
+    out.prob[out.forced[1] | out.logical] = 1.0
+    return out.prob, out.logical
 
 
 def simulate_mask(
@@ -628,8 +617,9 @@ def simulate_mask(
     Columns are visited in ``simulation_order``; the subject effects and
     latent block indicators are drawn first, once per row. One uniform is
     consumed per cell regardless of forcing, so adding extra
-    zero-probability clauses cannot shift the stream. Reproducible given
-    the seed.
+    zero-probability clauses cannot shift the stream; as the uniform lies
+    in [0, 1), a forced probability of 1 always draws missing. Reproducible
+    given the seed.
     """
     if isinstance(x, DataMatrix):
         if not x.is_complete():
@@ -656,12 +646,8 @@ def simulate_mask(
     ctx = _EvalContext(values, mask, blocks, subj)
     for j in spec.simulation_order:
         u = rng.random(n)
-        prob, force1, force0, logic = rule_probabilities(spec.rules[j], ctx)
-        col = (u < prob).astype(np.uint8)
-        col[force0] = 0
-        col[force1] = 1
-        col[logic] = 1
-        mask[:, j] = col
+        prob, logic = rule_probabilities(spec.rules[j], ctx)
+        mask[:, j] = (u < prob).astype(np.uint8)
         logical[:, j] = logic.astype(np.uint8)
     return MissMask(mask, logical if logical.any() else None)
 
@@ -672,8 +658,8 @@ def mask_law(spec: MechanismSpec) -> tuple[np.ndarray, np.ndarray]:
     Returns the distinct patterns, a (K, p) uint8 array in lexicographic
     order, and their probabilities, a (K,) array; patterns of probability 0
     are left out. The latent-block states are enumerated, and each column,
-    in ``simulation_order``, splits every state on its indicator with the
-    precedence ``simulate_mask`` applies. Only specs that read no data
+    in ``simulation_order``, splits every state on its indicator by the
+    probability ``simulate_mask`` draws it with. Only specs that read no data
     column and no subject effect have a row-free law; others raise.
     """
     for rule in spec.rules:
@@ -690,8 +676,7 @@ def mask_law(spec: MechanismSpec) -> tuple[np.ndarray, np.ndarray]:
     mask = np.zeros((len(weight), spec.p), dtype=np.uint8)
     for j in spec.simulation_order:
         ctx = _EvalContext(np.zeros_like(mask, dtype=float), mask, blocks.T, None)
-        prob, force1, force0, logic = rule_probabilities(spec.rules[j], ctx)
-        q = np.where(force1 | logic, 1.0, np.where(force0, 0.0, prob))
+        q, _ = rule_probabilities(spec.rules[j], ctx)
         mask = np.concatenate([mask, mask])
         mask[len(q):, j] = 1
         weight = np.concatenate([weight * (1.0 - q), weight * q])
@@ -714,11 +699,8 @@ def spec_dependencies(spec: MechanismSpec) -> list[_Dependence]:
         # A subject scope gates every clause of its rule, so it is as
         # deterministic as the rule's strongest clause.
         forces = any(clause.forces for clause in rule.clauses)
-        edges.extend(
-            _edge(cmp_.ref, rule.target, forces)
-            for cmp_ in rule.subject_scope or ()
-            if cmp_.ref.kind != "constant"
-        )
+        edges.extend(_edge(cmp_.ref, rule.target, forces)
+                     for cmp_ in rule.subject_scope or ())
         for clause in rule.clauses:
             edges.extend(clause.edges(rule.target))
     return edges
@@ -841,7 +823,7 @@ _SCALARS = {int: ("an integer", (int,)), float: ("a number", (int, float)),
 # Fields a spec file may leave out; they take their dataclass default, as
 # does null where the annotation admits None.
 _OPTIONAL = {
-    "index", "scale", "shift", "subject_scope", "sign", "subject_effect_var",
+    "index", "subject_scope", "sign", "subject_effect_var",
     "blocks", "latent_columns", "temporal_order", "declared_label", "col_names",
 }
 
@@ -903,7 +885,12 @@ def read_typed(tp, value, path: str = ""):
             kwargs[name] = read_typed(kind, value[key], f"{path}.{key}" if path else key)
         elif name not in _OPTIONAL:
             raise SpecificationError(f"{where}: missing field {key!r}")
-    return tp(**kwargs)
+    # Nested values name their own paths above; the constructor's checks
+    # are named by the path of the object they reject.
+    try:
+        return tp(**kwargs)
+    except SpecificationError as exc:
+        raise SpecificationError(f"{where}: {exc}") from None
 
 
 def parse_json(text: str | bytes, source: str):

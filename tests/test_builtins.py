@@ -70,10 +70,10 @@ class TestCalibration:
         # The bisection targets _chain_mean and _dropout_mean; the law,
         # derived from the built spec alone, must agree with both.
         seq = builtin_structures("mcar_ws_seq", p)
-        b = seq.rules[0].clauses[0].prob_map()[()]
-        a = seq.rules[1].clauses[0].prob_map()[(1,)]
+        b = dict(seq.rules[0].clauses[0].probs)[()]
+        a = dict(seq.rules[1].clauses[0].probs)[(1,)]
         drop = builtin_structures("mcar_ss_seq", p)
-        h = drop.rules[0].clauses[0].prob_map()[()]
+        h = dict(drop.rules[0].clauses[0].probs)[()]
         for spec, mean in ((seq, _chain_mean(b, a, p)), (drop, _dropout_mean(h, p))):
             patterns, probs = mask_law(spec)
             assert abs((patterns.T @ probs).mean() - mean) < 1e-14

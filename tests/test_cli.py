@@ -121,8 +121,18 @@ class TestClassify:
         (_put(0.0, "rules", 0, "target"), "rules[0].target: expected an integer, got float"),
         (_put([99], "latent_columns"), "latent_columns: column 99 out of range"),
         (_put([-1], "latent_columns"), "latent_columns: column -1 out of range"),
-        (_put(float("nan"), "rules", 1, "clauses", 0, "terms", 0, 0, "scale"),
-         "predictor scale must be finite"),
+        (_put(float("nan"), "rules", 1, "clauses", 0, "intercept"),
+         "rules[1].clauses[0]: logistic intercept must be finite"),
+        (_put(2.0, "rules", 1, "clauses", 0, "terms", 0, 0, "scale"),
+         "rules[1].clauses[0].terms[0][0]: unknown field 'scale'"),
+        (_put('constant', "rules", 1, "clauses", 0, "terms", 0, 0, "kind"),
+         "rules[1].clauses[0].terms[0][0]: unknown predictor kind 'constant'"),
+        (_put("sideways", "declared_label", "sign"), "declared_label: bad sign 'sideways'"),
+        (_put(["Z", "Z", "X2"], "columns"), "spec: columns: duplicate column names ['Z']"),
+        (_put("", "columns", 1), "spec: columns: every column needs a name"),
+        (_put({"data_dependence": "MNAR", "structure": "unstructured", "shape": "none",
+               "determinism": "probabilistic", "sign": "positive"}, "declared_label"),
+         "declared_label: unstructured mechanisms have no sign"),
     ])
     def test_malformed_spec_exits_one_naming_the_field(self, tmp_path, spec_file,
                                                        capsys, edit, message):
