@@ -25,27 +25,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .analyzer import (
-    ALPHA_DEFAULT,
-    REPORT_COLUMNS,
-    pairwise_dependence,
-    sequential_signature,
-    summary_text,
-)
-from .graphs import export_dot
-from .impute import (
-    DEFAULT_RIDGE,
-    METHODS,
-    ImputationConfig,
-    chain_diagnostics,
-    fcs_impute,
-)
-from .mechanisms import (
-    classify,
-    load_spec,
-    parse_json,
-    simulate_mask,
-)
 from .tabular import (
     read_csv,
     read_flags,
@@ -71,27 +50,29 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="misslab", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"misslab {__version__}")
-    sub = parser.add_subparsers(dest="verb", metavar="VERB")
-
-    p = sub.add_parser("simulate", help="draw a missingness mask for complete data")
+def _simulate_flags(p) -> None:
     p.add_argument("--spec", required=True, help="mechanism spec file (JSON)")
     p.add_argument("--data", required=True, help="complete data CSV")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output mask CSV")
 
-    p = sub.add_parser("classify", help="taxonomy cell of a mechanism spec")
+
+def _spec_flag(p) -> None:
     p.add_argument("--spec", required=True)
 
-    p = sub.add_parser("analyze", help="dependence report for a mask CSV")
+
+def _analyze_flags(p) -> None:
+    from .analyzer import ALPHA_DEFAULT
+
     p.add_argument("--mask", required=True)
     p.add_argument("--ordering", default=None, help="column order file (optional)")
     p.add_argument("--out", default=None, help="output prefix (report CSV + summary)")
     p.add_argument("--alpha", type=float, default=ALPHA_DEFAULT)
 
-    p = sub.add_parser("impute", help="multiply impute an incomplete CSV")
+
+def _impute_flags(p) -> None:
+    from .impute import DEFAULT_RIDGE, METHODS, ImputationConfig
+
     p.add_argument("--data", required=True)
     p.add_argument("--method", choices=METHODS, default=ImputationConfig.method)
     p.add_argument("--m", type=int, default=ImputationConfig.m)
@@ -103,7 +84,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output prefix")
 
-    p = sub.add_parser("experiment", help="run one of the simulation studies")
+
+def _experiment_flags(p) -> None:
     p.add_argument("--id", required=True, help="sim1, sim2 or sim3")
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -112,10 +94,24 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", default=None,
                    help="JSON file of config overrides (flags win)")
 
-    p = sub.add_parser("export-graph", help="DOT graph of a mechanism spec")
-    p.add_argument("--spec", required=True)
+
+def _export_graph_flags(p) -> None:
+    _spec_flag(p)
     p.add_argument("--out", required=True, help="output .dot path")
 
+
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser, with the flags of the verb ``argv`` names (its first
+    token without a leading dash) and no other verb's: a verb's flag
+    defaults come from the module that runs it, imported only for it."""
+    parser = _Parser(prog="misslab", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"misslab {__version__}")
+    sub = parser.add_subparsers(dest="verb", metavar="VERB")
+    verb = next((a for a in argv if not a.startswith("-")), None)
+    for name, (help_text, flags, _) in _VERBS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == verb:
+            flags(p)
     return parser
 
 
@@ -135,6 +131,8 @@ def _require_file(path: str, flag: str) -> Path:
 
 
 def _cmd_simulate(args) -> int:
+    from .mechanisms import load_spec, simulate_mask
+
     seed = _require_seed(args)
     spec = load_spec(_require_file(args.spec, "--spec"))
     data = read_csv(_require_file(args.data, "--data"))
@@ -146,6 +144,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .mechanisms import classify, load_spec
+
     spec = load_spec(_require_file(args.spec, "--spec"))
     label = classify(spec)
     payload = {"label": label.short(), **asdict(label)}
@@ -157,6 +157,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .analyzer import (REPORT_COLUMNS, pairwise_dependence, sequential_signature,
+                           summary_text)
+
     mask, names = read_mask_csv(_require_file(args.mask, "--mask"))
     report = pairwise_dependence(mask, alpha=args.alpha)
     text = summary_text(report)
@@ -188,6 +191,8 @@ def _read_ignore(path: Path, n: int) -> tuple[bool, ...]:
 
 
 def _cmd_impute(args) -> int:
+    from .impute import ImputationConfig, chain_diagnostics, fcs_impute
+
     seed = _require_seed(args)
     data = read_csv(_require_file(args.data, "--data"))
     ignore = None
@@ -235,6 +240,7 @@ def _cmd_impute(args) -> int:
 
 def _cmd_experiment(args) -> int:
     from .experiments import EXPERIMENT_IDS, run_experiment
+    from .mechanisms import parse_json
 
     if args.id not in EXPERIMENT_IDS:
         raise ValueError(f"--id: invalid choice {args.id!r} "
@@ -275,6 +281,9 @@ def config_from_mapping(values: dict, **flags) -> ExperimentConfig:
 
 
 def _cmd_export_graph(args) -> int:
+    from .graphs import export_dot
+    from .mechanisms import load_spec
+
     spec = load_spec(_require_file(args.spec, "--spec"))
     out = Path(args.out)
     if out.parent != Path(""):
@@ -283,25 +292,29 @@ def _cmd_export_graph(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "classify": _cmd_classify,
-    "analyze": _cmd_analyze,
-    "impute": _cmd_impute,
-    "experiment": _cmd_experiment,
-    "export-graph": _cmd_export_graph,
+# Each verb: its help line, the function declaring its flags, its command.
+_VERBS = {
+    "simulate": ("draw a missingness mask for complete data", _simulate_flags,
+                 _cmd_simulate),
+    "classify": ("taxonomy cell of a mechanism spec", _spec_flag, _cmd_classify),
+    "analyze": ("dependence report for a mask CSV", _analyze_flags, _cmd_analyze),
+    "impute": ("multiply impute an incomplete CSV", _impute_flags, _cmd_impute),
+    "experiment": ("run one of the simulation studies", _experiment_flags,
+                   _cmd_experiment),
+    "export-graph": ("DOT graph of a mechanism spec", _export_graph_flags,
+                     _cmd_export_graph),
 }
 
 
 def dispatch(argv: list[str]) -> int:
     """Run one command line; returns the exit code instead of exiting."""
-    parser = _build_parser()
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if args.verb is None:
             parser.print_usage(sys.stderr)
             raise ValueError("a verb is required")
-        return _COMMANDS[args.verb](args)
+        return _VERBS[args.verb][2](args)
     except ValueError as exc:
         # Every failure the inputs determine: the message names its cause.
         print(f"misslab: {exc}", file=sys.stderr)

@@ -276,8 +276,15 @@ def _sim1_replicate(cfg: ExperimentConfig, rep: int) -> list[dict]:
 
 def _mse_stats(group: list[dict]) -> dict:
     mse = [r["mse"] for r in group]
-    return {"median_mse": float(np.median(mse)), "mean_mse": float(np.mean(mse)),
-            "n_rep": len(mse)}
+    return {"median_mse": _median(mse), "mean_mse": float(np.mean(mse)), "n_rep": len(mse)}
+
+
+def _median(values: list[float]) -> float:
+    """``np.median``'s value and arithmetic (the middle value, or the mean
+    of the two middle values), without the ``numpy.ma`` import it costs."""
+    s = sorted(values)
+    half = len(s) // 2
+    return float(s[half] if len(s) % 2 else (s[half - 1] + s[half]) / 2)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,8 @@ class PredictorRef:
     def __post_init__(self):
         if self.kind not in ("data", "mask", "block", "subject"):
             raise SpecificationError(f"unknown predictor kind {self.kind!r}")
+        if self.kind == "subject" and self.index is not None:
+            raise SpecificationError("subject predictor takes no index")
         if self.kind != "subject" and self.index is None:
             raise SpecificationError(f"{self.kind} predictor needs an index")
 
@@ -276,21 +278,12 @@ class _PredicateClause:
         return [cmp_.ref for cmp_ in self.when]
 
 
-def _comparison_sign(cmp_: Comparison, forced_value: int) -> str | None:
-    # Direction of a force clause w.r.t. a binary mask/block parent:
-    # triggering on parent==1 and forcing missing is a positive coupling.
-    if cmp_.op == "==" and cmp_.value in (0.0, 1.0):
-        trigger_on_one = cmp_.value == 1.0
-    elif cmp_.op == "!=" and cmp_.value in (0.0, 1.0):
-        trigger_on_one = cmp_.value == 0.0
-    elif cmp_.op in (">", ">="):
-        trigger_on_one = True
-    elif cmp_.op in ("<", "<="):
-        trigger_on_one = False
-    else:
+def _binary_hits(cmp_: Comparison) -> tuple[int, ...] | None:
+    """The values among 0 and 1 that satisfy a comparison on a mask or block
+    reference, which takes no others; None for a data reference."""
+    if cmp_.ref.kind not in ("mask", "block"):
         return None
-    positive = trigger_on_one == (forced_value == 1)
-    return POSITIVE if positive else NEGATIVE
+    return tuple(v for v in (0, 1) if _OPS[cmp_.op](v, cmp_.value))
 
 
 @dataclass(frozen=True)
@@ -313,14 +306,29 @@ class ForceClause(_PredicateClause):
         block, is 1."""
         return cls((Comparison(ref, "==", 1.0),), 1)
 
+    @property
+    def forces(self) -> bool:
+        """False when a comparison on a mask or block holds for neither 0
+        nor 1: the clause then never fires."""
+        return all(_binary_hits(cmp_) != () for cmp_ in self.when)
+
     def apply(self, ctx: "_EvalContext", out: "_RuleOutcome") -> None:
         out.forced[self.value] |= ctx.predicate(self.when) & out.scope
 
     def edges(self, target: int) -> list[_Dependence]:
-        return [_edge(cmp_.ref, target, True,
-                      _comparison_sign(cmp_, self.value)
-                      if cmp_.ref.kind in ("mask", "block") else None)
-                for cmp_ in self.when]
+        # A comparison that both 0 and 1 satisfy declares no edge. On one
+        # value, firing on 1 and forcing missing is a positive coupling.
+        if not self.forces:
+            return []
+        out = []
+        for cmp_ in self.when:
+            hits = _binary_hits(cmp_)
+            if hits is None:
+                out.append(_edge(cmp_.ref, target, True))
+            elif len(hits) == 1:
+                out.append(_edge(cmp_.ref, target, True,
+                                 POSITIVE if hits[0] == self.value else NEGATIVE))
+        return out
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -127,6 +128,8 @@ class TestClassify:
          "rules[1].clauses[0].terms[0][0]: unknown field 'scale'"),
         (_put('constant', "rules", 1, "clauses", 0, "terms", 0, 0, "kind"),
          "rules[1].clauses[0].terms[0][0]: unknown predictor kind 'constant'"),
+        (_put({"kind": "subject", "index": 7}, "rules", 1, "clauses", 0, "terms", 0, 0),
+         "rules[1].clauses[0].terms[0][0]: subject predictor takes no index"),
         (_put("sideways", "declared_label", "sign"), "declared_label: bad sign 'sideways'"),
         (_put(["Z", "Z", "X2"], "columns"), "spec: columns: duplicate column names ['Z']"),
         (_put("", "columns", 1), "spec: columns: every column needs a name"),
@@ -203,7 +206,6 @@ class TestAnalyze:
         # The sequential signature reads the report analyze has already
         # built: one dependence pass and one pair count per verb.
         import misslab.analyzer
-        import misslab.cli
 
         calls = {"pairwise_dependence": 0, "pair_counts": 0}
 
@@ -215,7 +217,6 @@ class TestAnalyze:
 
         dependence = counted("pairwise_dependence", misslab.analyzer.pairwise_dependence)
         monkeypatch.setattr(misslab.analyzer, "pairwise_dependence", dependence)
-        monkeypatch.setattr(misslab.cli, "pairwise_dependence", dependence)
         monkeypatch.setattr(MissMask, "pair_counts",
                             counted("pair_counts", MissMask.pair_counts))
         ordering = tmp_path / "order.txt"
@@ -649,12 +650,107 @@ class TestDispatchErrors:
         assert (data_file.read_bytes(), spec_file.read_bytes()) == before
 
 
+# Every verb, in help order, and its flags, in help order. A verb's flags are
+# declared only when it is the verb being run, so each --help is checked.
+_VERB_FLAGS = {
+    "simulate": ["-h", "--spec", "--data", "--seed", "--out"],
+    "classify": ["-h", "--spec"],
+    "analyze": ["-h", "--mask", "--ordering", "--out", "--alpha"],
+    "impute": ["-h", "--data", "--method", "--m", "--maxit", "--donors", "--ridge",
+               "--ignore", "--seed", "--out"],
+    "experiment": ["-h", "--id", "--reps", "--seed", "--out", "--threads", "--config"],
+    "export-graph": ["-h", "--spec", "--out"],
+}
+
+
+class TestHelp:
+    def test_help_lists_every_verb(self, capsys):
+        assert run(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert re.findall(r"^    (\S+)", out, re.M) == list(_VERB_FLAGS)
+        assert re.findall(r"^  (-\S+)", out, re.M) == ["-h,", "--version"]
+
+    @pytest.mark.parametrize("verb", _VERB_FLAGS)
+    def test_verb_help_lists_its_flags(self, capsys, verb):
+        assert run([verb, "--help"]) == 0
+        out = capsys.readouterr().out
+        flags = [f.rstrip(",") for f in re.findall(r"^  (-\S+)", out, re.M)]
+        assert flags == _VERB_FLAGS[verb]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["impute", "--method", "mice"], "--method"),
+        (["impute", "--m", "two"], "--m"),
+        (["impute", "--ridge", "small"], "--ridge"),
+        (["analyze", "--alpha", "x"], "--alpha"),
+        (["simulate", "--seed", "x"], "--seed"),
+        (["experiment", "--threads", "x"], "--threads"),
+        (["export-graph", "--out", "g.dot"], "--spec"),
+        (["classify"], "--spec"),
+    ])
+    def test_flag_error_exits_one_naming_the_flag(self, capsys, argv, flag):
+        assert run(argv) == 1
+        assert flag in capsys.readouterr().err
+
+
 def _subprocess_env() -> dict:
     """The environment with this checkout's ``src`` on PYTHONPATH."""
     src = str(Path(misslab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def _misslab_modules(code: str, *args) -> set[str]:
+    """The ``misslab`` modules a fresh interpreter holds after ``code``."""
+    code += ("; import sys; print(' '.join(k for k in sys.modules "
+             "if k == 'misslab' or k.startswith('misslab.')))")
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], check=True,
+                         env=_subprocess_env(), capture_output=True, text=True).stdout
+    return set(out.splitlines()[-1].split())
+
+
+def test_package_import_loads_only_tabular():
+    assert _misslab_modules("import misslab") == {"misslab", "misslab.tabular"}
+
+
+# The misslab modules each verb runs on, besides misslab, misslab.tabular and
+# misslab.cli.
+_VERB_MODULES = {
+    "simulate": {"mechanisms"},
+    "classify": {"mechanisms"},
+    "analyze": {"analyzer"},
+    "impute": {"impute"},
+    "experiment": {"analyzer", "builtins", "experiments", "fixtures", "impute",
+                   "inference", "mechanisms"},
+    "export-graph": {"graphs", "mechanisms"},
+}
+
+
+@pytest.mark.parametrize("verb", _VERB_MODULES)
+def test_each_verb_loads_only_its_modules(tmp_path, spec_file, data_file, verb):
+    mask = tmp_path / "mask.csv"
+    write_mask_csv(MissMask(np.eye(4, dtype=np.uint8)), mask)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n_train": 60, "n_test": 50, "m": 2, "maxit": 2,
+                                  "structures": ["mcar_u_1"], "rho_list": [0.0]}))
+    argv = {
+        "simulate": ["--spec", spec_file, "--data", data_file, "--seed", 3,
+                     "--out", tmp_path / "m.csv"],
+        "classify": ["--spec", spec_file],
+        "analyze": ["--mask", mask],
+        "impute": ["--data", data_file, "--m", 2, "--maxit", 1, "--seed", 3,
+                   "--out", tmp_path / "imp"],
+        "experiment": ["--id", "sim1", "--reps", 1, "--seed", 5, "--threads", 1,
+                       "--config", config, "--out", tmp_path / "sim1"],
+        "export-graph": ["--spec", spec_file, "--out", tmp_path / "g.dot"],
+    }[verb]
+    # The experiment verb runs a small sim1 study, whose summary takes a
+    # median without numpy.ma.
+    code = ("import sys; from misslab.cli import dispatch; "
+            "assert dispatch(sys.argv[1:]) == 0; assert 'numpy.ma' not in sys.modules")
+    want = {"misslab", "misslab.tabular", "misslab.cli"}
+    assert _misslab_modules(code, verb, *argv) == want | {
+        f"misslab.{m}" for m in _VERB_MODULES[verb]}
 
 
 def test_cli_import_skips_scipy_stats(tmp_path, data_file):

@@ -5,9 +5,12 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from misslab.experiments import (
     ExperimentConfig,
+    _median,
     run_experiment,
     run_sim1,
     run_sim2,
@@ -271,3 +274,17 @@ def test_study_outputs_match_golden_digests(tmp_path, experiment):
     names = (f"{experiment}_results.csv", f"{experiment}_summary.csv", "manifest.txt")
     assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                  for name in names) == digests
+
+
+# -0.0 is mapped to 0.0: the two tie in a sort, so a middle -0.0 would rest
+# on the sort's order of ties (an MSE is never -0.0). The sampled values
+# make ties common.
+_mse_like = (st.floats(allow_nan=False, allow_infinity=False).map(lambda v: v + 0.0)
+             | st.sampled_from([0.0, 1.5, 2.0, 1e308]))
+
+
+@given(st.lists(_mse_like, min_size=1, max_size=9))
+def test_median_is_numpys_bit_for_bit(values):
+    with np.errstate(over="ignore"):  # two middle values near the float max
+        want = np.median(values)
+    assert np.float64(_median(values)).tobytes() == want.tobytes()

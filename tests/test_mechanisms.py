@@ -410,6 +410,44 @@ class TestClassify:
         label = TaxonomyLabel("MAR", "weak", "sequential", "deterministic")
         assert label.short() == "MAR-WS/SS"
 
+    @staticmethod
+    def _forced_by(*when) -> MechanismSpec:
+        return MechanismSpec(rules=(
+            MechanismRule(0, (TableClause.bernoulli(0.3),)),
+            MechanismRule(1, (ForceClause(when, 1), TableClause.bernoulli(0.2))),
+        ))
+
+    @pytest.mark.parametrize("op, value", [
+        ("==", 0.5), (">", 1.0), ("<", 0.0),  # no value fires the clause
+        ("!=", 0.5), (">=", 0.0), ("<=", 1.0),  # both values fire it
+    ])
+    def test_indicator_comparison_that_cannot_split_declares_no_edge(self, op, value):
+        # M_1 does not depend on M_0, which takes only 0 and 1, when both or
+        # neither satisfy the comparison: the law factorises.
+        spec = self._forced_by(Comparison(mask_col(0), op, value))
+        patterns, probs = mask_law(spec)
+        law = dict(zip(map(tuple, patterns.tolist()), probs))
+        p0, p1 = (sum(p for k, p in law.items() if k[j]) for j in (0, 1))
+        for a, b in itertools.product((0, 1), repeat=2):
+            joint = (p0 if a else 1 - p0) * (p1 if b else 1 - p1)
+            assert law.get((a, b), 0.0) == pytest.approx(joint)
+        assert classify(spec).short() == "MCAR-U"
+        assert "->" not in export_dot(spec)
+
+    def test_clause_that_never_fires_drops_its_data_edge_too(self):
+        spec = self._forced_by(Comparison(mask_col(0), "==", 0.5),
+                               Comparison(data_col(0), ">", 0.0))
+        assert classify(spec).short() == "MCAR-U"
+        assert "->" not in export_dot(spec)
+
+    def test_always_true_indicator_comparison_keeps_the_data_edge(self):
+        spec = self._forced_by(Comparison(mask_col(0), "!=", 0.5),
+                               Comparison(data_col(0), ">", 0.0))
+        assert classify(spec).short() == "MAR-UD"
+        dot = export_dot(spec)
+        assert '"X1" -> "M_X2" [style=solid];' in dot
+        assert '"M_X1" ->' not in dot
+
 
 def _permute_columns(spec: MechanismSpec, perm):
     """Relabel columns consistently across rules and orders: old column j
@@ -498,6 +536,12 @@ class TestValidation:
             MechanismSpec(rules=(
                 MechanismRule(0, (LogisticClause(0.0, ((subject_effect(), 1.0),)),)),
             ))
+
+    def test_subject_reference_takes_no_index(self):
+        # The subject effect is one per row: an index would give the same
+        # mechanism a second spec file.
+        with pytest.raises(SpecificationError, match="subject predictor takes no index"):
+            PredictorRef("subject", 7)
 
     def test_nonfinite_numbers_rejected(self):
         with pytest.raises(SpecificationError, match="comparison value must be finite"):
