@@ -3,7 +3,8 @@
 * Study 1 (prediction): draw correlated Gaussian data, impose each named
   missingness structure on training and (optionally) test rows, impute by
   chained equations with predictive mean matching, fit the linear analysis
-  model per imputation, and score pooled test predictions by MSE.
+  model per imputation, and score pooled test predictions by MSE. One
+  imputation per structure scores both test settings.
 * Study 2 (inference, at-random structure): a three-variable chain where
   the third column's missingness depends on the second column's indicator
   with weight ``q``; bias and coverage of an analysis-model slope under
@@ -197,34 +198,67 @@ def _study_cell(cell: str, fn, *args):
 # ---------------------------------------------------------------------------
 
 
+_SIM1_SETTINGS = ("complete", "missing")
+
+
 def _sim1_cell(
     x: np.ndarray,
     y: np.ndarray,
     mask_bits: np.ndarray,
     name: str,
-    test_missing: bool,
     cfg: ExperimentConfig,
     impute_seed: np.random.SeedSequence,
-) -> float:
+    cell: str,
+) -> dict[str, float]:
+    """Test MSE under each setting of one (rho, structure) cell; ``cell``
+    names the cell in errors, with ``{}`` for the test setting.
+
+    Test rows are ignored by the imputation, so the training completions
+    have the same law whether or not the test rows have missing cells: one
+    imputation of the "missing" setting scores both settings, predicting
+    the completed test rows for "missing" and the observed ones for
+    "complete". Deletion structures and a setting with no missing cell are
+    fitted by OLS per setting.
+    """
+    n_train = cfg.n_train
+    complete_test = mask_bits.copy()
+    complete_test[n_train:, :] = 0
+    settings = dict(zip(_SIM1_SETTINGS, (complete_test, mask_bits)))
+    mse = {
+        setting: _study_cell(cell.format(setting), _sim1_ols_mse, x, y, bits, n_train)
+        for setting, bits in settings.items()
+        if name in ("complete", "unit_block") or not bits.any()
+    }
+    if len(mse) < len(settings):
+        imputed = _study_cell(cell.format("missing"), _sim1_imputed_mse, x, y,
+                              mask_bits, cfg, impute_seed)
+        mse = {**imputed, **mse}
+    return mse
+
+
+def _sim1_ols_mse(x: np.ndarray, y: np.ndarray, bits: np.ndarray, n_train: int) -> float:
+    # Fully missing subjects, which only unit_block has, are dropped, not
+    # imputed.
+    keep = ~bits.all(axis=1)
+    train = np.flatnonzero(keep[:n_train])
+    test = n_train + np.flatnonzero(keep[n_train:])
+    for rows, kept in (("training", train), ("test", test)):
+        if not kept.size:
+            raise ValueError(f"every {rows} row is fully missing")
+    fit = ols_fit(y[train], _with_intercept(x[train]))
+    pred = fit.predict(_with_intercept(x[test]))
+    return float(np.mean((pred - y[test]) ** 2))
+
+
+def _sim1_imputed_mse(
+    x: np.ndarray,
+    y: np.ndarray,
+    bits: np.ndarray,
+    cfg: ExperimentConfig,
+    impute_seed: np.random.SeedSequence,
+) -> dict[str, float]:
     n_train = cfg.n_train
     n = x.shape[0]
-    bits = mask_bits.copy()
-    if not test_missing:
-        bits[n_train:, :] = 0
-
-    if name in ("complete", "unit_block") or not bits.any():
-        # Fully missing subjects, which only unit_block has, are dropped,
-        # not imputed.
-        keep = ~bits.all(axis=1)
-        train = np.flatnonzero(keep[:n_train])
-        test = n_train + np.flatnonzero(keep[n_train:])
-        for rows, kept in (("training", train), ("test", test)):
-            if not kept.size:
-                raise ValueError(f"every {rows} row is fully missing")
-        fit = ols_fit(y[train], _with_intercept(x[train]))
-        pred = fit.predict(_with_intercept(x[test]))
-        return float(np.mean((pred - y[test]) ** 2))
-
     dm = DataMatrix(x, MissMask(bits), default_names(cfg.p))
     ignore = np.zeros(n, dtype=bool)
     ignore[n_train:] = True
@@ -237,15 +271,27 @@ def _sim1_cell(
         seed=impute_seed,
     )
     result = fcs_impute(dm, impcfg)
-    preds = np.empty((cfg.m, n - n_train))
+    observed_test = _with_intercept(x[n_train:])
+    preds = {setting: np.empty((cfg.m, n - n_train)) for setting in _SIM1_SETTINGS}
     for k, completed in enumerate(result.completed):
         fit = ols_fit(y[:n_train], _with_intercept(completed[:n_train]))
-        preds[k] = fit.predict(_with_intercept(completed[n_train:]))
-    return predict_mse(preds, y[n_train:])
+        preds["complete"][k] = fit.predict(observed_test)
+        preds["missing"][k] = fit.predict(_with_intercept(completed[n_train:]))
+    return {setting: predict_mse(p, y[n_train:]) for setting, p in preds.items()}
 
 
 def _with_intercept(x: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(x.shape[0]), x])
+
+
+def _sim1_data(cfg: ExperimentConfig, rho_idx: int, rep: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, y) of one replicate at ``cfg.rho_list[rho_idx]``."""
+    n = cfg.n_train + cfg.n_test
+    rng = np.random.default_rng(_seed_seq(cfg, rho_idx, rep, 0))
+    chol = _compound_symmetry_chol(cfg.p, cfg.rho_list[rho_idx])
+    x = rng.standard_normal((n, cfg.p)) @ chol.T
+    y = x.sum(axis=1) + 2.0 * rng.standard_normal(n)
+    return x, y
 
 
 def _sim1_replicate(cfg: ExperimentConfig, rep: int) -> list[dict]:
@@ -254,23 +300,20 @@ def _sim1_replicate(cfg: ExperimentConfig, rep: int) -> list[dict]:
         name: builtin_structures(name, cfg.p, cfg.missing_rate)
         for name in cfg.structures
     }
-    n = cfg.n_train + cfg.n_test
     for rho_idx, rho in enumerate(cfg.rho_list):
-        rng = np.random.default_rng(_seed_seq(cfg, rho_idx, rep, 0))
-        chol = _compound_symmetry_chol(cfg.p, rho)
-        x = rng.standard_normal((n, cfg.p)) @ chol.T
-        y = x.sum(axis=1) + 2.0 * rng.standard_normal(n)
+        x, y = _sim1_data(cfg, rho_idx, rep)
         for s_idx, name in enumerate(cfg.structures):
             mask = simulate_mask(specs[name], x, _seed_seq(cfg, rho_idx, rep, 1, s_idx))
-            for t_idx, setting in enumerate(("complete", "missing")):
-                mse = _study_cell(
-                    f"study 1 at n_train={cfg.n_train}, rho={rho}, structure "
-                    f"{name}, test rows {setting}, replicate {rep}",
-                    _sim1_cell, x, y, mask.bits, name, setting == "missing", cfg,
-                    _seed_seq(cfg, rho_idx, rep, 2, s_idx, t_idx),
-                )
-                rows.append({"rho": rho, "structure": name, "test_missingness": setting,
-                             "replicate": rep, "mse": mse})
+            # The cell's one imputation draws from the stream of the
+            # "missing" setting (last index 1); index 0 is not used.
+            mse = _sim1_cell(
+                x, y, mask.bits, name, cfg, _seed_seq(cfg, rho_idx, rep, 2, s_idx, 1),
+                f"study 1 at n_train={cfg.n_train}, rho={rho}, structure {name}, "
+                f"test rows {{}}, replicate {rep}",
+            )
+            rows.extend({"rho": rho, "structure": name, "test_missingness": setting,
+                         "replicate": rep, "mse": mse[setting]}
+                        for setting in _SIM1_SETTINGS)
     return rows
 
 
@@ -416,7 +459,7 @@ _STUDIES = {
                           "maxit", "donors", "missing_rate"),
         ("rho", "structure", "test_missingness"), ("mse",),
         ("median_mse", "mean_mse", "n_rep"), _sim1_replicate, _mse_stats,
-        order=lambda cfg: product(cfg.rho_list, cfg.structures, ("complete", "missing")),
+        order=lambda cfg: product(cfg.rho_list, cfg.structures, _SIM1_SETTINGS),
     ),
     "sim2": _Study(
         _COMMON_FIELDS + ("n", "q_grid", "maxit_list"), ("q", "maxit"), _POOLED,

@@ -184,6 +184,24 @@ def monotone_rows(bits: np.ndarray, ordering: Sequence[int]) -> np.ndarray:
     return ~np.any((arranged == 0) & (seen_missing == 1), axis=1)
 
 
+def _distinct_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 0/1 matrix in lexicographic order, and how
+    many times each occurs: ``np.unique(bits, axis=0, return_counts=True)``
+    by integer sort. Each row is packed into big-endian 64-bit words, whose
+    numeric order is the rows' lexicographic order; a matrix with no columns
+    has one word per row, so its rows form one empty pattern."""
+    n, p = bits.shape
+    packed = np.zeros((n, 8 * max(1, (p + 63) // 64)), dtype=np.uint8)
+    packed[:, :(p + 7) // 8] = np.packbits(bits, axis=1)
+    keys = packed.view(">u8").astype(np.uint64)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    return bits[order[starts]], np.diff(starts, append=n)
+
+
 def pattern_summary(
     m: MissMask, ordering: Sequence[int] | None = None
 ) -> PatternSummary:
@@ -197,7 +215,7 @@ def pattern_summary(
     n, p = bits.shape
     if ordering is None:
         ordering = tuple(range(p))
-    rows, counts = np.unique(bits, axis=0, return_counts=True)
+    rows, counts = _distinct_rows(bits)
     both = m.pair_counts()
     miss = both.diagonal()
     j, k = np.triu_indices(p, 1)

@@ -550,7 +550,8 @@ class TestExperimentVerb:
 
     def test_sim1_sample_too_small_names_the_cell(self, tmp_path, capsys):
         # Eleven training rows, as many as the analysis model's coefficients,
-        # leave X10 unobserved among them under mcar_u_2 in replicate 1.
+        # leave X10 unobserved among them under mcar_u_2 in replicate 1. The
+        # cell's one imputation runs on the "missing" setting's mask.
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"n_train": 11, "n_test": 20,
                                       "structures": ["mcar_u_2"]}))
@@ -559,7 +560,7 @@ class TestExperimentVerb:
         err = capsys.readouterr().err
         assert code == 1, err
         assert ("study 1 at n_train=11, rho=0.0, structure mcar_u_2, test rows "
-                "complete, replicate 1: column 'X10' (index 9) has no observed "
+                "missing, replicate 1: column 'X10' (index 9) has no observed "
                 "values among fitting rows") in err
         assert "too small" in err
         assert not (tmp_path / "o").exists()

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from misslab import experiments
 from misslab.experiments import (
     ExperimentConfig,
     _median,
+    _sim1_data,
+    _with_intercept,
     run_experiment,
     run_sim1,
     run_sim2,
@@ -18,6 +21,8 @@ from misslab.experiments import (
     _check_label,
 )
 from misslab.fixtures import sim2_spec, sim3_label
+from misslab.impute import fcs_impute
+from misslab.inference import ols_fit, predict_mse
 from misslab.mechanisms import SpecificationError, TaxonomyLabel
 
 
@@ -194,6 +199,60 @@ class TestSim1Harness:
                 "the sample is too small for this model")):
             run_sim1(cfg)
 
+    def test_imputation_error_names_the_missing_setting(self):
+        # X1 is missing in all three training rows. The one imputation of the
+        # cell runs on the "missing" setting's mask, so it is named.
+        cfg = ExperimentConfig(
+            "sim1", n_replicates=1, seed=3, n_train=3, n_test=4, p=2, m=1, maxit=1,
+            structures=("mcar_ws_seq",), rho_list=(0.0,), missing_rate=0.6,
+        )
+        with pytest.raises(ValueError, match=re.escape(
+                "study 1 at n_train=3, rho=0.0, structure mcar_ws_seq, test rows "
+                "missing, replicate 0: column 'X1' (index 0) has no observed values "
+                "among fitting rows; the sample is too small for this model")):
+            run_sim1(cfg)
+
+    def test_one_imputation_per_rho_and_structure(self, monkeypatch):
+        calls = []
+
+        def counting(dm, impcfg):
+            calls.append(dm)
+            return fcs_impute(dm, impcfg)
+
+        monkeypatch.setattr(experiments, "fcs_impute", counting)
+        cfg = ExperimentConfig("sim1", n_replicates=1, seed=4, n_test=100, m=2, maxit=1)
+        out = run_sim1(cfg)
+        assert len(out.results) == 2 * 10 * 2
+        assert len(calls) == 2 * 8  # rho x imputing structures
+        assert all(dm.missing.bits[cfg.n_train:].any() for dm in calls)
+
+    def test_both_settings_score_the_same_completions(self, monkeypatch):
+        results = []
+
+        def recording(dm, impcfg):
+            results.append(fcs_impute(dm, impcfg))
+            return results[-1]
+
+        monkeypatch.setattr(experiments, "fcs_impute", recording)
+        cfg = ExperimentConfig("sim1", n_replicates=1, seed=2, n_test=50, m=3, maxit=2,
+                               structures=("mcar_ws_block",), rho_list=(0.0, 0.4))
+        out = run_sim1(cfg)
+        assert len(results) == 2
+        n_train = cfg.n_train
+        for rho_idx, result in enumerate(results):
+            x, y = _sim1_data(cfg, rho_idx, 0)
+            fits = [ols_fit(y[:n_train], _with_intercept(c[:n_train]))
+                    for c in result.completed]
+            want = {
+                "complete": [f.predict(_with_intercept(x[n_train:])) for f in fits],
+                "missing": [f.predict(_with_intercept(c[n_train:]))
+                            for f, c in zip(fits, result.completed)],
+            }
+            for r in out.results:
+                if r["rho"] == cfg.rho_list[rho_idx]:
+                    setting = r["test_missingness"]
+                    assert r["mse"] == predict_mse(np.array(want[setting]), y[n_train:])
+
 
 class TestSim3Harness:
     def test_truth_note_recorded_in_manifest(self):
@@ -247,8 +306,8 @@ _GOLDEN = {
     "sim1": (
         dict(n_train=30, n_test=20, p=3, m=2, maxit=1, donors=3, rho_list=(0.4, 0.0),
              structures=("unit_block", "mcar_ws_seq", "complete", "mcar_u_2")),
-        ("fcafa7086809b0ce64356be84f7eb6231a4dd95c8dd90c4763e9558842834921",
-         "30c90a43104a4aea4f7d18f8f0faf37cf877bd3be4eead9d7bb72f6023937747",
+        ("30c35113b16fd65fd9de19c8ed210979dd917c424c07cfc020d2f448374610bb",
+         "2cccda9bd79f13e13e6e23498a9936c65feda5124b42d93c9517b050418b492b",
          "a5e0acb25609e3180c4576f666a8b0f5cf25ebe3192432eab2f1038c12a9f57c"),
     ),
     "sim2": (
@@ -264,6 +323,28 @@ _GOLDEN = {
          "5d6de784497c90c117408e4c4bdf7dadadf10063299111eb01bb7ad6269e6d96"),
     ),
 }
+
+
+# The golden sim1 rows that do not depend on the "complete" setting sharing
+# its cell's imputation: every "missing" row and every row of the deletion
+# structures, from the results and then the summary file.
+_SIM1_PINNED_ROWS = (
+    "59b70634e8d6101fe2ddd9c653a76991c677d0965b63e393625ed45a15900838")
+
+
+def test_sim1_rows_outside_the_shared_imputation_are_pinned(tmp_path):
+    sizes, _ = _GOLDEN["sim1"]
+    run_experiment(ExperimentConfig("sim1", n_replicates=3, seed=3,
+                                    out_dir=tmp_path, **sizes))
+    pinned = []
+    for name in ("sim1_results.csv", "sim1_summary.csv"):
+        for line in (tmp_path / name).read_text().splitlines()[1:]:
+            _, structure, setting = line.split(",")[:3]
+            if setting == "missing" or structure in ("complete", "unit_block"):
+                pinned.append(line)
+    assert len(pinned) == 36 + 12
+    digest = hashlib.sha256("\n".join(pinned).encode()).hexdigest()
+    assert digest == _SIM1_PINNED_ROWS
 
 
 @pytest.mark.parametrize("experiment", sorted(_GOLDEN))

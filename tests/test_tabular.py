@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -111,6 +111,22 @@ class TestPatternSummary:
         assert repr((summary.distinct_patterns, summary.monotone,
                      summary.file_matching_pairs)) == repr(reference)
         assert summary.per_column_rate.tolist() == bits.mean(axis=0).tolist()
+
+    # Widths around the 64-bit word boundaries; rows drawn from a small pool
+    # so that patterns repeat. No rows and no columns are included.
+    @given(st.integers(0, 130).flatmap(lambda p: st.tuples(
+        arrays(np.uint8, st.tuples(st.integers(1, 6), st.just(p)),
+               elements=st.integers(0, 1)),
+        st.lists(st.integers(0, 5), max_size=30))))
+    @example((np.zeros((1, 0), dtype=np.uint8), [0, 0, 0]))
+    @example((np.ones((2, 3), dtype=np.uint8), []))
+    @settings(max_examples=200, deadline=None)
+    def test_distinct_patterns_equal_numpy_unique(self, case):
+        pool, picks = case
+        bits = pool[np.array(picks, dtype=np.intp) % pool.shape[0]]
+        rows, counts = np.unique(bits, axis=0, return_counts=True)
+        want = tuple(zip(map(tuple, rows.tolist()), counts.tolist()))
+        assert repr(pattern_summary(MissMask(bits)).distinct_patterns) == repr(want)
 
 
 class TestCsv:
