@@ -37,8 +37,12 @@ DEFAULT_RIDGE = 1e-5
 
 class CollinearityError(np.linalg.LinAlgError):
     """Normal equations singular even after ridging. ``columns`` are the
-    design columns beyond the numerical rank; ``where`` names the column
-    and sweep being drawn (empty for a lone draw)."""
+    design columns, read left to right, that do not raise the rank of the
+    columns before them: column ``j`` is named when
+    ``numpy.linalg.matrix_rank(x[:, :j + 1])`` is no higher than the rank of
+    ``x[:, :j]`` (0 for ``j = 0``). The rank is numpy's default: the count
+    of singular values above ``s.max() * max(n, j + 1) * eps``. ``where``
+    names the column and sweep being drawn (empty for a lone draw)."""
 
     def __init__(self, columns, where=""):
         self.columns = tuple(int(c) for c in columns)
@@ -130,16 +134,12 @@ class RegressionDraw:
 
 
 def _collinear(x_obs: np.ndarray, where: str) -> CollinearityError:
-    """The error for a design whose normal equations cannot be factored:
-    the columns a pivoted QR finds beyond the numerical rank."""
-    from scipy import linalg as sla  # slow to import; only this error path needs it
-
-    n, k = x_obs.shape
-    _, r, piv = sla.qr(x_obs, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag.max() * max(n, k) * np.finfo(float).eps if diag.size else 0.0
-    rank = int((diag > tol).sum())
-    return CollinearityError(sorted(piv[rank:]), where)
+    """The error for a design whose normal equations cannot be factored,
+    naming each column that does not raise the rank of the columns before
+    it (see :class:`CollinearityError`)."""
+    k = x_obs.shape[1]
+    ranks = [0] + [np.linalg.matrix_rank(x_obs[:, :j + 1]) for j in range(k)]
+    return CollinearityError([j for j in range(k) if ranks[j + 1] <= ranks[j]], where)
 
 
 def _draw(y_obs, x_obs, x_mis, donors, ridge, rngs, where="") -> RegressionDraw:
@@ -556,42 +556,20 @@ def fcs_impute(x: DataMatrix, cfg: ImputationConfig) -> ImputationResult:
 
 @dataclass(frozen=True)
 class ChainDiagnostics:
-    """Long-format imputation traces plus a between-chain spread."""
+    """Long-format imputation traces."""
 
     # Header of the diagnostics CSV: one name per field of a row.
     columns: ClassVar[tuple[str, ...]] = ("chain", "iteration", "column", "mean", "sd")
     rows: tuple[tuple[int, int, str, float, float], ...]
-    between_chain: dict[str, float]
-    flags: tuple[str, ...]
 
 
 def chain_diagnostics(result: ImputationResult) -> ChainDiagnostics:
     """Tabulate per-sweep means/sds of the imputed cells per chain.
 
-    Columns with no imputed cells produce no rows. With a single chain the
-    between-chain spread is undefined and flagged.
+    Columns with no imputed cells produce no rows.
     """
     m, maxit, _ = result.chain_means.shape
-    rows = []
-    for chain in range(m):
-        for it in range(maxit):
-            for j in result.visited_columns:
-                rows.append(
-                    (
-                        chain,
-                        it + 1,
-                        result.col_names[j],
-                        float(result.chain_means[chain, it, j]),
-                        float(result.chain_sds[chain, it, j]),
-                    )
-                )
-    between: dict[str, float] = {}
-    flags: list[str] = []
-    for j in result.visited_columns:
-        name = result.col_names[j]
-        if m < 2:
-            between[name] = float("nan")
-            flags.append(f"between-chain spread undefined for {name!r} (m=1)")
-        else:
-            between[name] = float(result.chain_means[:, -1, j].std(ddof=1))
-    return ChainDiagnostics(tuple(rows), between, tuple(flags))
+    return ChainDiagnostics(tuple(
+        (chain, it + 1, result.col_names[j], float(result.chain_means[chain, it, j]),
+         float(result.chain_sds[chain, it, j]))
+        for chain in range(m) for it in range(maxit) for j in result.visited_columns))

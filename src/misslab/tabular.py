@@ -53,7 +53,8 @@ def _binary(a, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MissMask:
-    """Binary missingness indicator matrix, 1 = missing.
+    """Binary missingness indicator matrix, 1 = missing, with at least one
+    row (as the CSV readers require).
 
     ``logical`` optionally flags a subset of the missing cells as logically
     missing (no underlying value exists, e.g. a test that cannot apply to a
@@ -67,6 +68,8 @@ class MissMask:
         bits = _binary(self.bits, "mask entries")
         if bits.ndim != 2:
             raise ValueError("mask must be 2-dimensional")
+        if not len(bits):
+            raise ValueError("mask has no rows")
         object.__setattr__(self, "bits", _readonly(bits))
         if self.logical is not None:
             logical = _binary(self.logical, "logical flags")
@@ -167,9 +170,6 @@ class PatternSummary:
     per_column_rate: np.ndarray
     monotone: bool
     file_matching_pairs: tuple[tuple[int, int], ...]
-
-    def n_patterns(self) -> int:
-        return len(self.distinct_patterns)
 
 
 def default_names(p: int) -> tuple[str, ...]:

@@ -754,54 +754,9 @@ def test_each_verb_loads_only_its_modules(tmp_path, spec_file, data_file, verb):
         f"misslab.{m}" for m in _VERB_MODULES[verb]}
 
 
-def test_cli_import_skips_scipy_stats(tmp_path, data_file):
-    # scipy.stats and scipy.linalg take about a second and half a second to
-    # import; verbs that need no statistics or model fits must not pay for it.
-    code = ("import misslab.cli, sys; "
-            "assert not {'scipy.stats', 'scipy.linalg'} & set(sys.modules)")
-    subprocess.run([sys.executable, "-c", code], check=True, env=_subprocess_env())
-    # Nor may analyze, impute (either method) or pool, run in a fresh
-    # interpreter, load scipy.stats, nor they or a small sim1 study load
-    # scipy.linalg: the engine solves with numpy.linalg, and scipy.linalg
-    # is left to naming the columns of a singular design.
-    rng = np.random.default_rng(1)
-    bits = (rng.random((300, 4)) < 0.3).astype(np.uint8)
-    bits[:, 1] = bits[:, 0] ^ (rng.random(300) < 0.1)  # a significant pair
-    write_mask_csv(MissMask(bits), tmp_path / "mask.csv")
-    (tmp_path / "order.txt").write_text("X2,X1,X4,X3\n")
-    data = np.loadtxt(data_file, delimiter=",", skiprows=1)
-    data[rng.random(data.shape) < 0.2] = np.nan
-    data[:, 0] = np.nan_to_num(data[:, 0])
-    write_csv(DataMatrix(data, MissMask(np.isnan(data)), ("Z", "X1", "X2")),
-              tmp_path / "incomplete.csv")
-    verbs = [
-        ["analyze", "--mask", tmp_path / "mask.csv"],
-        ["analyze", "--mask", tmp_path / "mask.csv", "--ordering", tmp_path / "order.txt",
-         "--out", tmp_path / "report"],
-        ["impute", "--data", tmp_path / "incomplete.csv", "--m", "2", "--maxit", "2",
-         "--seed", "3", "--out", tmp_path / "imp"],
-        ["impute", "--data", tmp_path / "incomplete.csv", "--method", "norm", "--m", "2",
-         "--maxit", "2", "--seed", "3", "--out", tmp_path / "norm"],
-    ]
-    code = ("import json, sys; from misslab.cli import dispatch; "
-            "from misslab.inference import pool; "
-            "from misslab.experiments import ExperimentConfig, run_experiment; "
-            "assert [dispatch(v) for v in json.loads(sys.argv[1])] == [0, 0, 0, 0]; "
-            "assert pool([1.0, 2.0], [1.0, 1.0]).df > 0; "
-            "assert not {'scipy.stats', 'scipy.linalg'} & set(sys.modules); "
-            "run_experiment(ExperimentConfig('sim1', n_replicates=1, seed=5, n_test=50, "
-            "structures=('mcar_u_1',), rho_list=(0.0,), threads=1)); "
-            "assert not {'scipy.stats', 'scipy.linalg'} & set(sys.modules)")
-    subprocess.run([sys.executable, "-c", code, json.dumps([[str(a) for a in v] for v in verbs])],
-                   check=True, env=_subprocess_env(), stdout=subprocess.DEVNULL)
-    # The pair is significant, so the conditioning pass ran too.
-    assert "M1 ~ M2:" in (tmp_path / "report.summary.txt").read_text()
-
-
-def test_statistics_skip_scipy(tmp_path, data_file):
-    # P-values and t quantiles are computed in misslab, so no verb, pooling
-    # or inference study loads scipy.special or scipy.stats, which together
-    # cost a process about 26 MB.
+def test_runs_load_no_scipy(tmp_path, data_file):
+    # misslab runs on numpy alone: no verb, pooling, study or collinear
+    # error path, run in a fresh interpreter, loads any scipy module.
     rng = np.random.default_rng(2)
     bits = (rng.random((300, 4)) < 0.3).astype(np.uint8)
     bits[:, 1] = bits[:, 0] ^ (rng.random(300) < 0.1)  # a significant pair
@@ -811,6 +766,11 @@ def test_statistics_skip_scipy(tmp_path, data_file):
     data[rng.random(data.shape) < 0.2] = np.nan
     write_csv(DataMatrix(data, MissMask(np.isnan(data)), ("Z", "X1", "X2")),
               tmp_path / "incomplete.csv")
+    base = np.random.default_rng(4).normal(size=40)
+    bits = np.zeros((40, 3), dtype=np.uint8)
+    bits[20:, 2] = 1
+    write_csv(DataMatrix(np.column_stack([base, base, base]), MissMask(bits), ("a", "b", "c")),
+              tmp_path / "collinear.csv")
     verbs = [
         ["analyze", "--mask", tmp_path / "mask.csv", "--out", tmp_path / "plain"],
         ["analyze", "--mask", tmp_path / "mask.csv", "--ordering", tmp_path / "order.txt",
@@ -819,19 +779,27 @@ def test_statistics_skip_scipy(tmp_path, data_file):
          "--seed", "3", "--out", tmp_path / "imp"],
         ["impute", "--data", tmp_path / "incomplete.csv", "--method", "norm", "--m", "2",
          "--maxit", "2", "--seed", "3", "--out", tmp_path / "norm"],
+        ["impute", "--data", tmp_path / "collinear.csv", "--method", "norm", "--ridge", "0",
+         "--m", "2", "--maxit", "1", "--seed", "8", "--out", tmp_path / "bad"],
     ]
     code = ("import json, sys; from misslab.cli import dispatch; "
             "from misslab.inference import pool; "
             "from misslab.experiments import ExperimentConfig, run_experiment; "
-            "assert [dispatch(v) for v in json.loads(sys.argv[1])] == [0, 0, 0, 0]; "
+            "assert [dispatch(v) for v in json.loads(sys.argv[1])] == [0, 0, 0, 0, 1]; "
             "assert pool([1.0, 2.0], [1.0, 1.0]).ci_low < 1.5; "
+            "run_experiment(ExperimentConfig('sim1', n_replicates=1, seed=5, n_test=50, "
+            "structures=('mcar_u_1',), rho_list=(0.0,), threads=1)); "
             "run_experiment(ExperimentConfig('sim2', n_replicates=1, seed=5, n=100, m=2, "
             "q_grid=(0.5,), maxit_list=(2,), threads=1)); "
             "run_experiment(ExperimentConfig('sim3', n_replicates=1, seed=5, n=200, m=2, "
             "q_grid=(0.5,), sim3_maxit=2, threads=1)); "
-            "assert not {'scipy.special', 'scipy.stats'} & set(sys.modules)")
-    subprocess.run([sys.executable, "-c", code, json.dumps([[str(a) for a in v] for v in verbs])],
-                   check=True, env=_subprocess_env(), stdout=subprocess.DEVNULL)
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "assert not loaded, loaded[:3]")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps([[str(a) for a in v] for v in verbs])],
+        env=_subprocess_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "collinear design columns: 2" in proc.stderr
     # The pair is significant, so the conditioning pass ran too.
     assert "M1 ~ M2:" in (tmp_path / "plain.summary.txt").read_text()
 
