@@ -754,9 +754,30 @@ def test_each_verb_loads_only_its_modules(tmp_path, spec_file, data_file, verb):
         f"misslab.{m}" for m in _VERB_MODULES[verb]}
 
 
-def test_runs_load_no_scipy(tmp_path, data_file):
-    # misslab runs on numpy alone: no verb, pooling, study or collinear
-    # error path, run in a fresh interpreter, loads any scipy module.
+def test_cli_import_skips_scipy_stats(tmp_path, spec_file, data_file):
+    # misslab runs on numpy alone: neither importing the CLI nor the verbs
+    # that test_statistics_skip_scipy does not run load any scipy module.
+    verbs = [
+        ["simulate", "--spec", spec_file, "--data", data_file, "--seed", 3,
+         "--out", tmp_path / "mask.csv"],
+        ["classify", "--spec", spec_file],
+        ["export-graph", "--spec", spec_file, "--out", tmp_path / "g.dot"],
+    ]
+    code = ("import json, sys; import misslab.cli; "
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules); "
+            "assert [misslab.cli.dispatch(v) for v in json.loads(sys.argv[1])] == [0, 0, 0]; "
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "assert not loaded, loaded[:3]")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps([[str(a) for a in v] for v in verbs])],
+        env=_subprocess_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_statistics_skip_scipy(tmp_path, data_file):
+    # misslab runs on numpy alone: no analyze or impute verb, pooling, study
+    # or collinear error path, run in a fresh interpreter, loads any scipy
+    # module.
     rng = np.random.default_rng(2)
     bits = (rng.random((300, 4)) < 0.3).astype(np.uint8)
     bits[:, 1] = bits[:, 0] ^ (rng.random(300) < 0.1)  # a significant pair
