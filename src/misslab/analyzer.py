@@ -55,7 +55,6 @@ class PairStat:
 @dataclass(frozen=True)
 class DependenceReport:
     pairs: tuple[PairStat, ...]
-    sign_matrix: np.ndarray
     # (j, k, "given M<l>", "independent"): column l explains the pair away.
     conditional_flags: tuple[tuple[int, int, str, str], ...]
     alpha: float
@@ -123,12 +122,10 @@ def pairwise_dependence(m: MissMask, alpha: float = ALPHA_DEFAULT) -> Dependence
     values = np.stack([odds, stat, pval]).astype(object)
     values[:, undetermined] = np.nan
 
-    sign_matrix = np.full((p, p), SIGN_UNDETERMINED, dtype=object)
-    sign_matrix[j, k] = sign_matrix[k, j] = sign
     pairs = tuple(map(PairStat, j.tolist(), k.tolist(), *values.tolist(),
                       sign.tolist(), flag.tolist()))
     flags = _single_column_conditioning(bits, both, j[significant], k[significant], alpha)
-    return DependenceReport(pairs, sign_matrix, flags, alpha, n, both)
+    return DependenceReport(pairs, flags, alpha, n, both)
 
 
 def _chi2_tail(stat: np.ndarray) -> np.ndarray:

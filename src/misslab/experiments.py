@@ -38,8 +38,7 @@ import numpy as np
 
 from . import __version__
 from .analyzer import pairwise_dependence
-from .builtins import BUILTIN_NAMES, builtin_structures
-from .fixtures import sim2_spec, sim3_spec
+from .builtins import BUILTIN_NAMES, builtin_structures, sim2_spec, sim3_spec
 from .impute import ImputationConfig, fcs_impute
 from .inference import ols_fit, pool, predict_mse, replicate_metrics
 from .mechanisms import (

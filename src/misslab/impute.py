@@ -222,6 +222,8 @@ def _one_chain(y_obs, x_obs, x_mis) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     x_mis = np.ascontiguousarray(x_mis, float)
     if len(y_obs) != len(x_obs):
         raise ValueError("response and design row counts differ")
+    if not len(y_obs):
+        raise ValueError("no observed rows to fit")
     if not all(np.isfinite(a).all() for a in (y_obs, x_obs, x_mis)):
         raise ValueError("non-finite regression input")
     return y_obs[None], x_obs[None], x_mis[None]
@@ -424,15 +426,11 @@ class ImputationResult:
     ``completed`` holds one (n, p) array per chain; they may be views into
     one stacked array. ``chain_means``/``chain_sds`` have shape
     (m, maxit, p) and are NaN for columns that were never imputed.
-    ``fitted_models`` holds, per chain, the final-sweep point-estimate
-    coefficients of each visited column (intercept first, then the other
-    columns in storage order).
     """
 
     completed: tuple[np.ndarray, ...]
     chain_means: np.ndarray
     chain_sds: np.ndarray
-    fitted_models: tuple[dict[int, np.ndarray], ...]
     visited_columns: tuple[int, ...]
     col_names: tuple[str, ...]
 
@@ -523,7 +521,6 @@ def fcs_impute(x: DataMatrix, cfg: ImputationConfig) -> ImputationResult:
 
     chain_means = np.full((cfg.m, cfg.maxit, p), np.nan)
     chain_sds = np.full((cfg.m, cfg.maxit, p), np.nan)
-    fitted: tuple[dict[int, np.ndarray], ...] = tuple({} for _ in rngs)
     with _quiet_draws():
         for it in range(cfg.maxit):
             for j in visit:
@@ -539,16 +536,12 @@ def fcs_impute(x: DataMatrix, cfg: ImputationConfig) -> ImputationResult:
                 chain_means[:, it, j] = draw.values.mean(axis=1)
                 if mis.size >= 2:
                     chain_sds[:, it, j] = draw.values.std(axis=1, ddof=1)
-                if it == cfg.maxit - 1:
-                    for models, beta in zip(fitted, draw.beta_hat):
-                        models[j] = beta
     work[:, logical_cells] = np.nan
 
     return ImputationResult(
         completed=tuple(work),
         chain_means=chain_means,
         chain_sds=chain_sds,
-        fitted_models=fitted,
         visited_columns=visit,
         col_names=x.col_names,
     )

@@ -203,7 +203,6 @@ class MetricsRecord:
     correction).
     """
 
-    estimand: str
     truth: float
     mean_estimate: float
     bias: float
@@ -219,7 +218,6 @@ def replicate_metrics(
     ci_low: Sequence[float],
     ci_high: Sequence[float],
     truth: float,
-    estimand: str = "",
 ) -> MetricsRecord:
     """Bias, coverage and MSE (``bias_sq + variance``) over replicate
     estimates and their interval ends (one of each per replicate)."""
@@ -232,7 +230,6 @@ def replicate_metrics(
     variance = float(np.mean((q - mean_estimate) ** 2))
     mse = float(np.mean((q - truth) ** 2))
     return MetricsRecord(
-        estimand=estimand,
         truth=truth,
         mean_estimate=mean_estimate,
         bias=bias,
@@ -267,8 +264,6 @@ class OlsFit:
 
     coef: np.ndarray
     cov: np.ndarray
-    sigma2: float
-    dof: int
 
     def predict(self, design: np.ndarray) -> np.ndarray:
         return np.asarray(design, dtype=float) @ self.coef
@@ -292,4 +287,4 @@ def ols_fit(y: np.ndarray, design: np.ndarray) -> OlsFit:
         cov = sigma2 * np.linalg.inv(xtx)
     else:
         cov = sigma2 * np.linalg.pinv(xtx)
-    return OlsFit(coef=coef, cov=cov, sigma2=sigma2, dof=dof)
+    return OlsFit(coef=coef, cov=cov)

@@ -157,10 +157,6 @@ class DataMatrix:
     def is_complete(self) -> bool:
         return not self.missing.bits.any()
 
-    def observed_column(self, j: int) -> np.ndarray:
-        """Values of column ``j`` restricted to observed rows."""
-        return self.values[self.missing.bits[:, j] == 0, j]
-
 
 @dataclass(frozen=True)
 class PatternSummary:

@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 
 import misslab
-from misslab.builtins import BUILTIN_NAMES, builtin_structures
-from misslab.cli import dispatch
-from misslab.experiments import ExperimentConfig, run_sim1, run_sim2, run_sim3
-from misslab.fixtures import (
+from misslab.builtins import (
+    BUILTIN_NAMES,
+    builtin_structures,
     canonical_taxonomy_specs,
     sim2_spec,
     subject_effect_variant,
 )
+from misslab.cli import dispatch
+from misslab.experiments import ExperimentConfig, run_sim1, run_sim2, run_sim3
 from misslab.impute import ImputationConfig, fcs_impute, fit_norm_draw, fit_pmm_draw
 from misslab.inference import pool, replicate_metrics
 from misslab.mechanisms import classify, mask_law, save_spec, simulate_mask

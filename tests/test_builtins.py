@@ -4,12 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from misslab import fixtures
 from misslab.builtins import (
     BUILTIN_NAMES,
     _chain_mean,
     _dropout_mean,
     builtin_structures,
+    canonical_taxonomy_specs,
+    genomic_testing_spec,
+    psa_logical_spec,
+    psa_screening_spec,
+    sim2_spec,
+    sim3_spec,
+    subject_effect_variant,
 )
 from misslab.mechanisms import (
     MechanismSpec,
@@ -141,13 +147,13 @@ class TestDeclaredLabels:
 
 
 def _fixture_specs() -> dict[str, MechanismSpec]:
-    specs = dict(fixtures.canonical_taxonomy_specs())
-    for make in (fixtures.subject_effect_variant, fixtures.psa_logical_spec,
-                 fixtures.psa_screening_spec, fixtures.genomic_testing_spec):
+    specs = dict(canonical_taxonomy_specs())
+    for make in (subject_effect_variant, psa_logical_spec,
+                 psa_screening_spec, genomic_testing_spec):
         specs[make.__name__] = make()
     for q in (0.0, 0.25, 0.5, 0.75, 1.0):
-        specs[f"sim2_spec({q})"] = fixtures.sim2_spec(q)
-        specs[f"sim3_spec({q})"] = fixtures.sim3_spec(q)
+        specs[f"sim2_spec({q})"] = sim2_spec(q)
+        specs[f"sim3_spec({q})"] = sim3_spec(q)
     return specs
 
 

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import misslab
+from misslab.builtins import sim3_spec
 from misslab.cli import dispatch
-from misslab.fixtures import sim3_spec
 from misslab.mechanisms import save_spec
 from misslab.tabular import DataMatrix, MissMask, write_csv, write_mask_csv
 
@@ -721,7 +721,7 @@ _VERB_MODULES = {
     "classify": {"mechanisms"},
     "analyze": {"analyzer"},
     "impute": {"impute"},
-    "experiment": {"analyzer", "builtins", "experiments", "fixtures", "impute",
+    "experiment": {"analyzer", "builtins", "experiments", "impute",
                    "inference", "mechanisms"},
     "export-graph": {"graphs", "mechanisms"},
 }

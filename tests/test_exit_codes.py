@@ -23,8 +23,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import misslab
+from misslab.builtins import sim3_spec
 from misslab.cli import dispatch
-from misslab.fixtures import sim3_spec
 from misslab.impute import CollinearityError, NonFiniteDrawError, UnimputableColumnError
 from misslab.mechanisms import EvaluationError, SpecificationError, save_spec
 from test_mechanisms import _json_paths, _json_values

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from misslab import experiments
+from misslab.builtins import sim2_spec, sim3_label
 from misslab.experiments import (
     ExperimentConfig,
     _median,
@@ -20,7 +21,6 @@ from misslab.experiments import (
     run_sim3,
     _check_label,
 )
-from misslab.fixtures import sim2_spec, sim3_label
 from misslab.impute import fcs_impute
 from misslab.inference import ols_fit, predict_mse
 from misslab.mechanisms import SpecificationError, TaxonomyLabel

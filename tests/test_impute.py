@@ -230,6 +230,13 @@ def test_collinear_names_the_columns_that_add_no_exact_rank(x):
     assert _collinear(x.astype(float), "").columns == want
 
 
+@pytest.mark.parametrize("fit", [fit_norm_draw, fit_pmm_draw])
+def test_no_observed_rows_is_an_error(fit):
+    with pytest.raises(ValueError, match="^no observed rows to fit$"):
+        fit(np.zeros(0), np.zeros((0, 2)), np.ones((3, 2)),
+            rng=np.random.default_rng(0))
+
+
 class TestPmmDraw:
     def test_single_observed_donor(self):
         d = fit_pmm_draw(
@@ -455,7 +462,6 @@ class TestFcsImpute:
         assert res.visited_columns == ()
         for completed in res.completed:
             assert np.array_equal(completed, d.values)
-        assert all(not models for models in res.fitted_models)
 
     def test_mcar_column_mean_recovered(self):
         n = 5000
@@ -510,10 +516,6 @@ class TestFcsImpute:
         poisoned[100:] = 99.0  # dummy values, dims preserved
         res_b = fcs_impute(masked(poisoned, bits), cfg)
 
-        for ma, mb in zip(res_a.fitted_models, res_b.fitted_models):
-            assert ma.keys() == mb.keys()
-            for j in ma:
-                assert np.array_equal(ma[j], mb[j])
         keep = ~ignore
         for ca, cb in zip(res_a.completed, res_b.completed):
             assert np.array_equal(ca[keep], cb[keep])
@@ -582,7 +584,7 @@ class TestFcsImpute:
             assert np.isfinite(completed[20:40, 1]).all()
 
     def test_file_matching_runs_to_completion(self):
-        from misslab.fixtures import sim2_spec
+        from misslab.builtins import sim2_spec
         from misslab.mechanisms import simulate_mask
 
         rng = np.random.default_rng(25)
@@ -720,9 +722,6 @@ class TestEngine:
                                   equal_nan=True)
             assert np.array_equal(together.chain_sds[c], alone.chain_sds[0],
                                   equal_nan=True)
-            models, lone = together.fitted_models[c], alone.fitted_models[0]
-            assert list(models) == list(lone)
-            assert all(np.array_equal(models[j], lone[j]) for j in models)
 
     @pytest.mark.parametrize("method", ["norm", "pmm"])
     def test_collinear_design_names_columns(self, method):
@@ -842,7 +841,7 @@ class TestChainDiagnostics:
         # and sweep 50 by much more than the final between-chain spread.
         # The plain imputed-value mean trace equilibrates within a sweep
         # here, so the slope is the honest convergence readout.
-        from misslab.fixtures import sim2_spec
+        from misslab.builtins import sim2_spec
         from misslab.inference import ols_fit
         from misslab.mechanisms import simulate_mask
 

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misslab.fixtures import (
+from misslab.builtins import (
+    BUILTIN_NAMES,
+    builtin_structures,
     canonical_taxonomy_specs,
     genomic_testing_spec,
     psa_logical_spec,
@@ -21,7 +23,6 @@ from misslab.fixtures import (
     sim3_spec,
     subject_effect_variant,
 )
-from misslab.builtins import BUILTIN_NAMES, builtin_structures
 from misslab.graphs import export_dot
 from misslab.mechanisms import (
     Comparison,
@@ -247,8 +248,8 @@ def _law_cases() -> dict[str, MechanismSpec]:
         for name in BUILTIN_NAMES
         for p in (2, 5, 10)
     }
-    fixtures = canonical_taxonomy_specs()
-    cases.update((name, fixtures[name]) for name in ("MCAR-U", "MCAR-WS", "MCAR-SS"))
+    canonical = canonical_taxonomy_specs()
+    cases.update((name, canonical[name]) for name in ("MCAR-U", "MCAR-WS", "MCAR-SS"))
     cases["ws_seq-with-ss_block"] = _ws_seq_with_ss_block(5)
     cases["simulation-order"] = _reordered_spec()
     cases["force-conflict"] = _force_conflict()

@@ -518,7 +518,6 @@ class TestInvariants:
     def test_missing_cells_hold_no_value(self):
         d = dm([[1.0, 2.0]], [[0, 1]])
         assert np.isnan(d.values[0, 1])
-        assert d.observed_column(1).size == 0
 
     def test_values_are_read_only(self):
         d = dm([[1.0, 2.0]], [[0, 0]])
