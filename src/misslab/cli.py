@@ -130,6 +130,13 @@ def _require_file(path: str, flag: str) -> Path:
     return p
 
 
+def _out_path(path: str) -> Path:
+    """``path``, its parent directory created if missing."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _cmd_simulate(args) -> int:
     from .mechanisms import load_spec, simulate_mask
 
@@ -139,7 +146,7 @@ def _cmd_simulate(args) -> int:
     if not data.is_complete():
         raise ValueError("--data: simulate needs complete data (no empty fields)")
     mask = simulate_mask(spec, data, seed)
-    write_mask_csv(mask, args.out, data.col_names)
+    write_mask_csv(mask, _out_path(args.out), data.col_names)
     return EXIT_OK
 
 
@@ -173,8 +180,7 @@ def _cmd_analyze(args) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        prefix = Path(args.out)
-        prefix.parent.mkdir(parents=True, exist_ok=True)
+        prefix = _out_path(args.out)
         write_table(f"{prefix}.report.csv", REPORT_COLUMNS, map(astuple, report.pairs))
         Path(f"{prefix}.summary.txt").write_text(text)
     return EXIT_OK
@@ -208,9 +214,7 @@ def _cmd_impute(args) -> int:
         seed=seed,
     )
     result = fcs_impute(data, cfg)
-    prefix = Path(args.out)
-    if prefix.parent != Path(""):
-        prefix.parent.mkdir(parents=True, exist_ok=True)
+    prefix = _out_path(args.out)
     suffixes = [f".imp{k}.csv" for k in range(1, result.m + 1)]
     write_float_tables([f"{prefix}{s}" for s in suffixes], data.col_names,
                        result.completed)
@@ -285,10 +289,7 @@ def _cmd_export_graph(args) -> int:
     from .mechanisms import load_spec
 
     spec = load_spec(_require_file(args.spec, "--spec"))
-    out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(export_dot(spec))
+    _out_path(args.out).write_text(export_dot(spec))
     return EXIT_OK
 
 

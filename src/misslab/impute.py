@@ -284,17 +284,11 @@ def _pmm_donors(eta_obs, eta_mis, donors: int, rngs) -> np.ndarray:
     srt = np.empty((m, n_obs + 2))
     srt[:, 0], srt[:, -1] = -np.inf, np.inf
     srt[:, 1:-1] = np.take_along_axis(eta_obs, order[:, 1:-1], axis=1)
+    # The number of each recipient's chain rows below it.
+    n_left = np.concatenate([np.searchsorted(row[1:-1], mis)
+                             for row, mis in zip(srt, eta_mis)])
     srt, e = srt.ravel(), eta_mis.ravel()
     first = np.repeat(np.arange(m) * (n_obs + 2) + 1, n_mis)  # row 0 of a block
-
-    # Binary lifting: each step adds 2^b to every count whose next 2^b rows
-    # all lie below the recipient (a step that would pass the block reads
-    # its +inf sentinel). n_left is the number of rows below, as a
-    # left-sided ``searchsorted`` would give.
-    n_left = np.zeros(m * n_mis, dtype=np.intp)
-    for b in reversed(range(n_obs.bit_length())):
-        t = np.minimum(n_left + (1 << b), n_obs + 1)
-        n_left += (srt.take(first + (t - 1)) < e) << b
     at = first + n_left  # the first row at or right of each recipient
 
     def dist(j):

@@ -37,7 +37,7 @@ from typing import ClassVar, Mapping, Sequence, Union, get_args, get_origin, get
 
 import numpy as np
 
-from .tabular import DataMatrix, MissMask, default_names
+from .tabular import DataMatrix, MissMask, check_names, default_names
 
 MCAR, MAR, MNAR = "MCAR", "MAR", "MNAR"
 UNSTRUCTURED, WEAK, STRONG = "unstructured", "weak", "strong"
@@ -450,6 +450,8 @@ class MechanismSpec:
 
     def __post_init__(self):
         p = len(self.rules)
+        if not p:
+            raise SpecificationError("rules: a spec needs at least one rule")
         targets = [r.target for r in self.rules]
         if sorted(targets) != list(range(p)):
             raise SpecificationError("need exactly one rule per column, in any order")
@@ -469,14 +471,10 @@ class MechanismSpec:
             object.__setattr__(self, "temporal_order", t)
         object.__setattr__(self, "latent_columns", frozenset(self.latent_columns))
         if self.col_names is not None:
-            if len(self.col_names) != p:
-                raise SpecificationError("need one column name per column")
-            if not all(self.col_names):
-                raise SpecificationError("columns: every column needs a name")
-            if len(set(self.col_names)) < p:
-                twice = sorted({c for c in self.col_names if self.col_names.count(c) > 1})
-                raise SpecificationError(f"columns: duplicate column names {twice}")
-            object.__setattr__(self, "col_names", tuple(self.col_names))
+            try:
+                object.__setattr__(self, "col_names", check_names(self.col_names, p))
+            except ValueError as exc:
+                raise SpecificationError(f"columns: {exc}") from None
         self.validate()
 
     @property

@@ -54,7 +54,7 @@ def _binary(a, what: str) -> np.ndarray:
 @dataclass(frozen=True)
 class MissMask:
     """Binary missingness indicator matrix, 1 = missing, with at least one
-    row (as the CSV readers require).
+    row and one column (as the CSV readers require).
 
     ``logical`` optionally flags a subset of the missing cells as logically
     missing (no underlying value exists, e.g. a test that cannot apply to a
@@ -70,6 +70,8 @@ class MissMask:
             raise ValueError("mask must be 2-dimensional")
         if not len(bits):
             raise ValueError("mask has no rows")
+        if not bits.shape[1]:
+            raise ValueError("mask has no columns")
         object.__setattr__(self, "bits", _readonly(bits))
         if self.logical is not None:
             logical = _binary(self.logical, "logical flags")
@@ -91,9 +93,6 @@ class MissMask:
         """Fraction missing per column."""
         return self.bits.mean(axis=0)
 
-    def overall_rate(self) -> float:
-        return float(self.bits.mean())
-
     def pair_counts(self) -> np.ndarray:
         """Exact (p, p) int64 counts of rows where both columns are missing;
         the diagonal holds each column's missing count. Every 2x2 table of
@@ -108,7 +107,8 @@ class MissMask:
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """An n-by-p real matrix with a missingness mask.
+    """An n-by-p real matrix with a missingness mask, under column names that
+    :func:`check_names` admits.
 
     Missing cells hold NaN internally.
     """
@@ -126,25 +126,13 @@ class DataMatrix:
                 f"values shape {values.shape} does not match mask shape "
                 f"{self.missing.bits.shape}"
             )
-        if len(self.col_names) != values.shape[1]:
-            raise ValueError("need one column name per column")
+        names = check_names(self.col_names, values.shape[1])
         # Sentinel for flagged cells: unreachable except via accessors.
         values[self.missing.bits == 1] = np.nan
         if np.isnan(values[self.missing.bits == 0]).any():
             raise ValueError("observed cells must hold finite-representable values")
         object.__setattr__(self, "values", _readonly(values))
-        object.__setattr__(self, "col_names", tuple(self.col_names))
-
-    @classmethod
-    def complete(
-        cls, values: np.ndarray, col_names: Sequence[str] | None = None
-    ) -> "DataMatrix":
-        """Wrap a fully observed matrix."""
-        values = np.asarray(values, dtype=float)
-        if col_names is None:
-            col_names = default_names(values.shape[1])
-        mask = MissMask(np.zeros(values.shape, dtype=np.uint8))
-        return cls(values, mask, tuple(col_names))
+        object.__setattr__(self, "col_names", names)
 
     @property
     def n(self) -> int:
@@ -172,6 +160,25 @@ def default_names(p: int) -> tuple[str, ...]:
     return tuple(f"X{j + 1}" for j in range(p))
 
 
+def check_names(names: Sequence[str], p: int | None = None) -> tuple[str, ...]:
+    """``names`` as a tuple, checked to be what a CSV header reads back: at
+    least one name (``p`` of them, if given), each non-empty, none twice, and
+    none the reader would alter. The reader strips white space and a leading
+    byte-order mark, and the writer leaves a carriage return unquoted."""
+    names = tuple(names)
+    if p is not None and len(names) != p:
+        raise ValueError("need one column name per column")
+    if not names or not all(names):
+        raise ValueError("every column needs a name")
+    altered = [h for h in names if h != h.strip() or "\r" in h or h.startswith("\ufeff")]
+    if altered:
+        raise ValueError(f"column names the CSV reader would alter {altered}")
+    if len(set(names)) < len(names):
+        twice = sorted({h for h in names if names.count(h) > 1})
+        raise ValueError(f"duplicate column names {twice}")
+    return names
+
+
 def monotone_rows(bits: np.ndarray, ordering: Sequence[int]) -> np.ndarray:
     """Per row: do its missing cells form a suffix under ``ordering``? A row
     fails iff an observed cell follows a missing one."""
@@ -184,10 +191,9 @@ def _distinct_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a 0/1 matrix in lexicographic order, and how
     many times each occurs: ``np.unique(bits, axis=0, return_counts=True)``
     by integer sort. Each row is packed into big-endian 64-bit words, whose
-    numeric order is the rows' lexicographic order; a matrix with no columns
-    has one word per row, so its rows form one empty pattern."""
+    numeric order is the rows' lexicographic order."""
     n, p = bits.shape
-    packed = np.zeros((n, 8 * max(1, (p + 63) // 64)), dtype=np.uint8)
+    packed = np.zeros((n, 8 * ((p + 63) // 64)), dtype=np.uint8)
     packed[:, :(p + 7) // 8] = np.packbits(bits, axis=1)
     keys = packed.view(">u8").astype(np.uint64)
     order = np.lexsort(keys.T[::-1])
@@ -232,16 +238,11 @@ def pattern_summary(
 # ---------------------------------------------------------------------------
 
 
-def format_value(v: float) -> str:
-    """Shortest round-trip decimal representation (deterministic)."""
-    return repr(float(v))
-
-
 def format_cell(v) -> str:
-    """The one cell rule: a float by :func:`format_value`, NaN as an empty
-    field, anything else by ``str``."""
+    """The one cell rule: a float by its shortest round-trip ``repr``, NaN as
+    an empty field, anything else by ``str``."""
     if isinstance(v, float):
-        return "" if v != v else format_value(v)
+        return "" if v != v else repr(float(v))
     return str(v)
 
 
@@ -324,8 +325,8 @@ def write_table(path: str | Path, header: Sequence[str],
 
 
 # The grammar of a data or mask CSV. The header is read by the csv module
-# (quoting allowed, a UTF-8 BOM stripped, names stripped of white space) and
-# must name every column once. The body is checked as bytes, a block of whole
+# (quoting allowed, a UTF-8 BOM stripped, names stripped of white space), and
+# its names must pass check_names. The body is checked as bytes, a block of whole
 # lines at a time: a line ends in "\n" or "\r\n", and every row holds exactly
 # p comma-separated fields. A data field is empty or '""' (missing) or an
 # ASCII decimal real as Python's float spells it, "inf" included; a mask
@@ -432,12 +433,10 @@ def _read_header(fh, path) -> tuple[tuple[str, ...], int]:
         names = tuple(h.strip() for h in next(csv.reader(decoded(), strict=True)))
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}:{lines}: header: {exc}") from None
-    if not names or not all(names):
-        raise ValueError(f"{path}:1: header: every column needs a name")
-    if len(set(names)) < len(names):
-        twice = sorted({h for h in names if names.count(h) > 1})
-        raise ValueError(f"{path}:1: header: duplicate column names {twice}")
-    return names, lines
+    try:
+        return check_names(names), lines
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: header: {exc}") from None
 
 
 def _line_blocks(fh):
@@ -495,7 +494,7 @@ def read_csv(path: str | Path) -> DataMatrix:
 
 def write_mask_csv(m: MissMask, path: str | Path,
                    col_names: Sequence[str] | None = None) -> None:
-    names = tuple(col_names) if col_names is not None else default_names(m.p)
+    names = check_names(col_names, m.p) if col_names is not None else default_names(m.p)
     write_table(path, names, m.bits)
 
 

@@ -108,7 +108,7 @@ class TestSimulatedRates:
     def test_simulated_overall_rate(self, name):
         x = np.random.default_rng(0).normal(size=(10_000, 10))
         mask = simulate_mask(builtin_structures(name), x, seed=1)
-        assert abs(mask.overall_rate() - 0.45) < 0.01
+        assert abs(float(mask.bits.mean()) - 0.45) < 0.01
 
     def test_per_column_rates_within_three_se(self):
         n = 10_000

@@ -27,7 +27,8 @@ def spec_file(tmp_path):
 @pytest.fixture
 def data_file(tmp_path):
     rng = np.random.default_rng(0)
-    d = DataMatrix.complete(rng.normal(size=(80, 3)), ("Z", "X1", "X2"))
+    d = DataMatrix(rng.normal(size=(80, 3)), MissMask(np.zeros((80, 3), np.uint8)),
+                   ("Z", "X1", "X2"))
     path = tmp_path / "data.csv"
     write_csv(d, path)
     return path
@@ -133,6 +134,10 @@ class TestClassify:
         (_put("sideways", "declared_label", "sign"), "declared_label: bad sign 'sideways'"),
         (_put(["Z", "Z", "X2"], "columns"), "spec: columns: duplicate column names ['Z']"),
         (_put("", "columns", 1), "spec: columns: every column needs a name"),
+        (_put(" X1", "columns", 1),
+         "spec: columns: column names the CSV reader would alter [' X1']"),
+        (_put(["Z", "X1"], "columns"), "spec: columns: need one column name per column"),
+        (_put([], "rules"), "spec: rules: a spec needs at least one rule"),
         (_put({"data_dependence": "MNAR", "structure": "unstructured", "shape": "none",
                "determinism": "probabilistic", "sign": "positive"}, "declared_label"),
          "declared_label: unstructured mechanisms have no sign"),
@@ -631,6 +636,26 @@ class TestExportGraph:
         dot = out.read_text()
         assert '"Z" -> "M_X1" [style=dashed];' in dot
         assert '"M_X1" -> "M_X2" [style=dashed];' in dot
+
+
+@pytest.mark.parametrize("verb", ["simulate", "analyze", "impute", "experiment",
+                                  "export-graph"])
+def test_out_inside_a_missing_directory(tmp_path, spec_file, data_file, verb):
+    # Every verb creates the directories its --out names.
+    mask = tmp_path / "mask.csv"
+    assert run(["simulate", "--spec", spec_file, "--data", data_file, "--seed", 3,
+                "--out", mask]) == 0
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n": 60, "m": 2, "q_grid": [0.5], "maxit_list": [1]}))
+    flags = {
+        "simulate": ["--spec", spec_file, "--data", data_file, "--seed", 3],
+        "analyze": ["--mask", mask],
+        "impute": ["--data", data_file, "--seed", 3],
+        "experiment": ["--id", "sim2", "--reps", 1, "--seed", 3, "--config", config],
+        "export-graph": ["--spec", spec_file],
+    }[verb]
+    assert run([verb, *flags, "--out", tmp_path / "new" / "dir" / "out"]) == 0
+    assert list((tmp_path / "new" / "dir").iterdir())
 
 
 class TestDispatchErrors:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from blas_kernel import kernel_note
 from misslab import experiments
 from misslab.builtins import sim2_spec, sim3_label
 from misslab.experiments import (
@@ -344,7 +345,7 @@ def test_sim1_rows_outside_the_shared_imputation_are_pinned(tmp_path):
                 pinned.append(line)
     assert len(pinned) == 36 + 12
     digest = hashlib.sha256("\n".join(pinned).encode()).hexdigest()
-    assert digest == _SIM1_PINNED_ROWS
+    assert digest == _SIM1_PINNED_ROWS, kernel_note()
 
 
 @pytest.mark.parametrize("experiment", sorted(_GOLDEN))
@@ -354,7 +355,7 @@ def test_study_outputs_match_golden_digests(tmp_path, experiment):
                                     out_dir=tmp_path, **sizes))
     names = (f"{experiment}_results.csv", f"{experiment}_summary.csv", "manifest.txt")
     assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                 for name in names) == digests
+                 for name in names) == digests, kernel_note()
 
 
 # -0.0 is mapped to 0.0: the two tie in a sort, so a middle -0.0 would rest

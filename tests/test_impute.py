@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from blas_kernel import kernel_note, running_core
 from misslab.impute import (
     CollinearityError,
     ImputationConfig,
@@ -673,7 +674,11 @@ class TestEngine:
         res = fcs_impute(d, ImputationConfig(m=3, maxit=3, method=method, donors=3,
                                              ignore=ignore, seed=99))
         assert (sha256(np.stack(res.completed)), sha256(res.chain_means)) == (
-            self.GOLDEN[method])
+            self.GOLDEN[method]), kernel_note()
+
+    def test_digest_failures_name_the_blas_kernel(self, tmp_path):
+        assert running_core()
+        assert running_core(tmp_path) == "unknown"  # no bundled OpenBLAS there
 
     @pytest.mark.parametrize("method", ["norm", "pmm"])
     def test_solves_match_lapack_reference(self, method):

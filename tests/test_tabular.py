@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from misslab import tabular
+from misslab.analyzer import pairwise_dependence
+from misslab.impute import ImputationConfig, fcs_impute
 from misslab.tabular import (
     DataMatrix,
     MissMask,
+    check_names,
     default_names,
     format_cell,
-    format_value,
     joint_counts,
     pattern_summary,
     read_csv,
@@ -60,14 +62,16 @@ def loop_census(bits, ordering):
     return tuple(sorted(patterns.items())), monotone, pairs
 
 
-@pytest.mark.parametrize("shape", [(0, 3), (0, 0)])
+@pytest.mark.parametrize("shape", [(0, 3), (0, 0), (3, 0)])
 def test_mask_with_no_rows_rejected(shape):
-    # The CSV readers refuse a file with no rows, so no mask may have none:
-    # its rates would be NaN, and its file would not read back.
-    with pytest.raises(ValueError, match="mask has no rows"):
+    # The CSV readers refuse a file with no rows or no names, so no mask may
+    # have none: its rates would be NaN, and its file would not read back.
+    message = "mask has no rows" if shape[0] == 0 else "mask has no columns"
+    with pytest.raises(ValueError, match=message):
         MissMask(np.zeros(shape, dtype=np.uint8))
-    with pytest.raises(ValueError, match="mask has no rows"):
-        DataMatrix.complete(np.zeros(shape))
+    with pytest.raises(ValueError, match=message):
+        DataMatrix(np.zeros(shape), MissMask(np.zeros(shape, dtype=np.uint8)),
+                   default_names(shape[1]))
 
 
 class TestPatternSummary:
@@ -123,12 +127,11 @@ class TestPatternSummary:
         assert summary.per_column_rate.tolist() == bits.mean(axis=0).tolist()
 
     # Widths around the 64-bit word boundaries; rows drawn from a small pool
-    # so that patterns repeat. No columns are included; a mask has rows.
-    @given(st.integers(0, 130).flatmap(lambda p: st.tuples(
+    # so that patterns repeat. A mask has rows and columns.
+    @given(st.integers(1, 130).flatmap(lambda p: st.tuples(
         arrays(np.uint8, st.tuples(st.integers(1, 6), st.just(p)),
                elements=st.integers(0, 1)),
         st.lists(st.integers(0, 5), min_size=1, max_size=30))))
-    @example((np.zeros((1, 0), dtype=np.uint8), [0, 0, 0]))
     @settings(max_examples=200, deadline=None)
     def test_distinct_patterns_equal_numpy_unique(self, case):
         pool, picks = case
@@ -254,7 +257,7 @@ class TestCsv:
 
     def test_format_value_round_trips(self):
         for v in (0.1, 1 / 3, -2.5e-17, 123456.789):
-            assert float(format_value(v)) == v
+            assert float(format_cell(v)) == v
 
 
 
@@ -364,7 +367,7 @@ class TestReader:
                 np.testing.assert_array_equal(back.missing.bits, np.isnan(values))
 
     @settings(max_examples=200, deadline=None)
-    @given(bits=arrays(np.uint8, st.tuples(st.integers(1, 7), st.integers(0, 7)),
+    @given(bits=arrays(np.uint8, st.tuples(st.integers(1, 7), st.integers(1, 7)),
                        elements=st.integers(0, 1)),
            block=st.integers(1, 20))
     def test_mask_bytes_equal_the_cell_writer(self, tmp_path_factory, bits, block):
@@ -373,11 +376,10 @@ class TestReader:
         write_mask_csv(MissMask(bits), d / "bytes.csv")
         write_table(d / "cells.csv", names, bits.tolist())
         assert (d / "bytes.csv").read_bytes() == (d / "cells.csv").read_bytes()
-        if bits.size:
-            with mock.patch.object(tabular, "_READ_BLOCK_BYTES", block):
-                back, back_names = read_mask_csv(d / "bytes.csv")
-            assert back_names == names
-            np.testing.assert_array_equal(back.bits, bits)
+        with mock.patch.object(tabular, "_READ_BLOCK_BYTES", block):
+            back, back_names = read_mask_csv(d / "bytes.csv")
+        assert back_names == names
+        np.testing.assert_array_equal(back.bits, bits)
 
     def test_bit_writer_refuses_other_entries(self, tmp_path):
         with pytest.raises(ValueError, match="must be 0 or 1"):
@@ -552,3 +554,103 @@ class TestInvariants:
         path.write_text(f"a,b\n0,1\n1,{entry}\n")
         with pytest.raises(ValueError, match=r"m\.csv:3: mask entries must be 0/1"):
             read_mask_csv(path)
+
+
+# Names as a header can hold them: separators, quotes, line ends, white
+# space the reader strips, byte-order marks and non-ASCII text.
+NAME_TEXT = st.text(st.one_of(st.sampled_from(',"\n\r\t \xa0\ufeff'), st.characters()),
+                    max_size=4)
+
+
+class TestNames:
+    # Each would be written as a header that read_csv refuses or renames.
+    @pytest.mark.parametrize("names", [
+        ("a", "a"), ("", "b"), ("a\r", "b"), (" a", "b"), ("a", "b\t"), ("a\xa0", "b"),
+        ("\ufeffa", "b"),
+    ])
+    def test_names_a_header_cannot_hold_are_refused(self, tmp_path, names):
+        mask = MissMask(np.zeros((1, 2), np.uint8))
+        refused = "every column needs a name|duplicate column|the CSV reader would alter"
+        with pytest.raises(ValueError, match=refused):
+            DataMatrix(np.zeros((1, 2)), mask, names)
+        with pytest.raises(ValueError, match=refused):
+            write_mask_csv(mask, tmp_path / "m.csv", names)
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("names, p, message", [
+        ((), None, "every column needs a name"),
+        (("a", ""), None, "every column needs a name"),
+        (("a",), 2, "need one column name per column"),
+        (("b", "a", "b"), 3, r"duplicate column names \['b'\]"),
+        (("a ", "b"), None, r"the CSV reader would alter \['a '\]"),
+    ])
+    def test_one_rule_names_each_fault(self, names, p, message):
+        with pytest.raises(ValueError, match=message):
+            check_names(names, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(names=st.lists(NAME_TEXT, min_size=1, max_size=4), data=st.data())
+    @example(names=[" a", "b"], data=None)
+    @example(names=["a", "\ufeffb"], data=None)
+    def test_admitted_names_read_back(self, tmp_path_factory, names, data):
+        p = len(names)
+        bits = np.eye(2, p, dtype=np.uint8) if data is None else data.draw(
+            arrays(np.uint8, (2, p), elements=st.integers(0, 1)))
+        values = np.arange(2.0 * p).reshape(2, p) - 1.5
+        try:
+            d = DataMatrix(values, MissMask(bits), names)
+        except ValueError:
+            return
+        path = tmp_path_factory.mktemp("n") / "d.csv"
+        write_csv(d, path)
+        back = read_csv(path)
+        assert back.col_names == tuple(names)
+        np.testing.assert_array_equal(back.missing.bits, bits)
+        np.testing.assert_array_equal(bits_of(back.values), bits_of(d.values))
+        write_mask_csv(d.missing, path, names)
+        assert read_mask_csv(path)[1] == tuple(names)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 3), p=st.integers(0, 3), method=st.sampled_from(["norm", "pmm"]),
+       data=st.data())
+def test_every_table_shape_gives_a_result_or_a_value_error(tmp_path_factory, n, p,
+                                                           method, data):
+    # The containers hold at least one row and one column, as a CSV does.
+    # Inside that domain each public table function returns a defined
+    # result or raises ValueError, and what a writer writes reads back.
+    bits = data.draw(arrays(np.uint8, (n, p), elements=st.integers(0, 1)))
+    if not n or not p:
+        with pytest.raises(ValueError, match="mask has no (rows|columns)"):
+            MissMask(bits)
+        return
+    mask = MissMask(bits)
+    values = data.draw(arrays(np.float64, (n, p), elements=st.floats(-1e3, 1e3)))
+    d = DataMatrix(values, mask, default_names(p))
+    summary = pattern_summary(mask)
+    assert sum(count for _, count in summary.distinct_patterns) == n
+    assert summary.per_column_rate.tolist() == bits.mean(axis=0).tolist()
+    try:
+        report = pairwise_dependence(mask)
+    except ValueError:
+        assert n < 2
+    else:
+        assert len(report.pairs) == p * (p - 1) // 2
+        for pair in report.pairs:
+            assert pair.flag == "undetermined" or 0.0 <= pair.p_value <= 1.0
+    out = tmp_path_factory.mktemp("s")
+    write_csv(d, out / "d.csv")
+    back = read_csv(out / "d.csv")
+    np.testing.assert_array_equal(bits_of(back.values), bits_of(d.values))
+    write_mask_csv(mask, out / "m.csv", d.col_names)
+    back_mask, back_names = read_mask_csv(out / "m.csv")
+    np.testing.assert_array_equal(back_mask.bits, bits)
+    assert back_names == d.col_names
+    try:
+        result = fcs_impute(d, ImputationConfig(m=2, maxit=2, method=method, donors=1,
+                                                seed=0))
+    except ValueError:
+        return
+    for completed in result.completed:
+        assert np.isfinite(completed).all()
+        np.testing.assert_array_equal(completed[bits == 0], values[bits == 0])
